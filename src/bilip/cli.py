@@ -215,6 +215,11 @@ def cmd_cones(args) -> tuple[dict, int]:
             "origin_to_infinity": exchange.origin_to_infinity,
         },
     }
+    # shells that meet in radius share samples, so their exchange check is trivial
+    inner_max = payload["at_origin"]["radius_max"]
+    outer_min = payload["at_infinity"]["radius_min"]
+    payload["shells_overlap"] = outer_min <= inner_max
+    payload["shell_gap_log"] = float(np.log(outer_min / inner_max))
     if args.band is not None:
         if args.shell is None:
             raise ParseError("--band needs --shell to place the link slice")

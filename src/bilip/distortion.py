@@ -90,6 +90,10 @@ def _pair_indices(n: int, strategy: PairStrategy) -> tuple[np.ndarray, np.ndarra
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
         keep = lo != hi
+        if not np.any(keep):
+            raise DegenerateMap(
+                f"all drawn pairs were self-pairs (i == j); samples={strategy.samples}"
+            )
         return lo[keep], hi[keep]
     raise DomainError(f"unknown pair strategy: {strategy!r}")
 
@@ -110,7 +114,8 @@ def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> Distor
     result is a pure function of the map and the strategy.
 
     Raises:
-        DegenerateMap: if every candidate pair was skipped.
+        DegenerateMap: if every candidate pair was skipped, or every
+            SeededRandom draw was a self-pair.
     """
     i, j = _pair_indices(m.n_pairs, strategy)
     dom = m.domain.points

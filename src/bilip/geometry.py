@@ -3,8 +3,8 @@
 Euclidean inversion x -> x/|x|^2, the inverse stereographic embedding of
 R^q into the unit sphere of R^(q+1), the half-ball chart at the north
 pole, and residual checks for the exact distance identities these maps
-satisfy.  All transforms accept a single point ``(q,)`` or a stack
-``(n, q)`` and return the matching shape.
+satisfy.  Each accepts a single point ``(q,)`` or a stack ``(n, q)``,
+the pair checks two stacks paired by row, and returns the matching shape.
 """
 
 from __future__ import annotations
@@ -27,16 +27,6 @@ CHART_BOUNDARY_SLACK = 1e-12  # rounding allowance at the chart boundary
 _LARGE_RADIUS = 1e150  # beyond this, |x|^2 risks overflow; switch forms
 
 
-def as_point(x) -> np.ndarray:
-    """Validate and return a finite 1-D float64 point."""
-    p = np.asarray(x, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise DomainError(f"expected a 1-D point, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("point has non-finite coordinates")
-    return p
-
-
 def _as_batch(x) -> tuple[np.ndarray, bool]:
     """Return ``(points, was_single)`` with points shaped (n, q)."""
     p = np.asarray(x, dtype=np.float64)
@@ -45,9 +35,28 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
         p = p[None, :]
     if p.ndim != 2 or p.shape[1] == 0:
         raise DomainError(f"expected (q,) or (n, q) coordinates, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("non-finite coordinates")
+    _reject_rows(~np.isfinite(p), DomainError, "non-finite coordinates", single)
     return p, single
+
+
+def _as_pairs(x1, x2) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Two equally shaped point stacks whose rows pair up, and whether both were single."""
+    a, single_a = _as_batch(x1)
+    b, single_b = _as_batch(x2)
+    if a.shape != b.shape:
+        raise DomainError(f"paired points must share a shape, got {a.shape} and {b.shape}")
+    return a, b, single_a and single_b
+
+
+def _reject_rows(bad: np.ndarray, error: type[Exception], message: str, single: bool) -> None:
+    """Raise ``error`` if ``bad`` flags anything, naming the first flagged row (axis 0) of a batch."""
+    if np.any(bad):
+        raise error(message if single else f"{message} (row {np.unravel_index(np.argmax(bad), bad.shape)[0]})")
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each equal to the 1-D ``a[k] @ b[k]`` bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def norms(x) -> np.ndarray | float:
@@ -73,8 +82,7 @@ def invert(x) -> np.ndarray:
     """
     p, single = _as_batch(x)
     r = np.max(np.abs(p), axis=1)
-    if np.any(r < ORIGIN_EPSILON):
-        raise OriginError("inversion is undefined at the origin")
+    _reject_rows(r < ORIGIN_EPSILON, OriginError, "inversion is undefined at the origin", single)
     scaled = p / r[:, None]
     rr = r * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
     out = (p / rr[:, None]) / rr[:, None]
@@ -192,7 +200,7 @@ def pole_chart_exact(y) -> np.ndarray:
     return out[0] if single else out
 
 
-def inversion_derivative_norm(x, h: float | None = None) -> float:
+def inversion_derivative_norm(x, h: float | None = None) -> np.ndarray | float:
     """Finite-difference operator norm of the derivative of inversion at x.
 
     Central differences along an orthonormal frame whose first vector is
@@ -200,43 +208,44 @@ def inversion_derivative_norm(x, h: float | None = None) -> float:
     estimates |D invert(x)| = 1/|x|^2.  The step defaults to 1e-6 * |x|
     and must satisfy 0 < h <= 1e-4 * |x|.
     """
-    p = as_point(x)
-    r = float(np.asarray(norms(p)))
-    if r < ORIGIN_EPSILON:
-        raise OriginError("derivative of inversion is undefined at the origin")
-    if h is None:
-        h = 1e-6 * r
-    if not 0.0 < h <= 1e-4 * r:
-        raise DomainError("step must satisfy 0 < h <= 1e-4 * |x|")
-    frame = _radial_frame(p / r)
-    cols = [(invert(p + h * v) - invert(p - h * v)) / (2.0 * h) for v in frame.T]
-    jac = np.column_stack(cols)
-    return float(np.linalg.svd(jac, compute_uv=False)[0])
+    p, single = _as_batch(x)
+    n, q = p.shape
+    r = norms(p)
+    _reject_rows(r < ORIGIN_EPSILON, OriginError, "derivative of inversion is undefined at the origin", single)
+    step = 1e-6 * r if h is None else np.full(n, float(h))
+    _reject_rows(~((0.0 < step) & (step <= 1e-4 * r)), DomainError, "step must satisfy 0 < h <= 1e-4 * |x|", single)
+    # a Householder frame is symmetric, so its row i is its column i
+    offset = step[:, None, None] * _radial_frames(p / r[:, None])
+    ahead = invert((p[:, None, :] + offset).reshape(-1, q)).reshape(n, q, q)
+    behind = invert((p[:, None, :] - offset).reshape(-1, q)).reshape(n, q, q)
+    jac = np.swapaxes((ahead - behind) / (2.0 * step)[:, None, None], 1, 2)
+    out = np.linalg.svd(jac, compute_uv=False)[:, 0]
+    return float(out[0]) if single else out
 
 
-def _radial_frame(u: np.ndarray) -> np.ndarray:
-    """Orthonormal frame with first column u (a unit vector).
+def _radial_frames(u: np.ndarray) -> np.ndarray:
+    """Orthonormal frames, shape (n, q, q), whose first columns are the rows of u.
 
-    Householder reflection sending e1 to u; near u = e1 the identity
-    frame is returned, which is still orthonormal and radial-first.
+    Householder reflection sending e1 to each unit row; near u = e1 the
+    identity frame is used, which is still orthonormal and radial-first.
     """
-    q = u.size
-    e1 = np.zeros(q)
-    e1[0] = 1.0
-    w = u - e1
-    wn2 = w @ w
-    if wn2 < 1e-30:
-        return np.eye(q)
-    return np.eye(q) - 2.0 * np.outer(w, w) / wn2
+    q = u.shape[1]
+    w = u - np.eye(q)[0]
+    wn2 = dot_rows(w, w)
+    flat = wn2 < 1e-30
+    outer = 2.0 * (w[:, :, None] * w[:, None, :])
+    frames = np.eye(q) - outer / np.where(flat, 1.0, wn2)[:, None, None]
+    frames[flat] = np.eye(q)
+    return frames
 
 
 class SeparationBounds(NamedTuple):
     """Two-sided bound on |x_far - x| from the radii alone."""
 
-    lower: float
-    upper: float
-    distance: float
-    holds: bool
+    lower: np.ndarray | float
+    upper: np.ndarray | float
+    distance: np.ndarray | float
+    holds: np.ndarray | bool
 
 
 def separation_bounds(x, x_far) -> SeparationBounds:
@@ -252,65 +261,56 @@ def separation_bounds(x, x_far) -> SeparationBounds:
         OriginError: if |x| = 0 (no valid C).
         DomainError: if |x_far| <= |x|.
     """
-    a = as_point(x)
-    b = as_point(x_far)
-    if a.size != b.size:
-        raise DomainError("points must share a dimension")
-    ra = float(np.asarray(norms(a)))
-    rb = float(np.asarray(norms(b)))
-    if ra < ORIGIN_EPSILON:
-        raise OriginError("reference point must be nonzero")
-    if rb <= ra:
-        raise DomainError("|x_far| must exceed |x|")
+    a, b, single = _as_pairs(x, x_far)
+    ra, rb = norms(a), norms(b)
+    _reject_rows(ra < ORIGIN_EPSILON, OriginError, "reference point must be nonzero", single)
+    _reject_rows(rb <= ra, DomainError, "|x_far| must exceed |x|", single)
     c = rb / ra - 1.0
     lower = c / (1.0 + c) * rb
     upper = (2.0 + c) / (1.0 + c) * rb
-    dist = float(np.asarray(norms(b - a)))
+    dist = norms(b - a)
     slack = 1e-12 * upper
-    holds = (lower - slack) <= dist <= (upper + slack)
-    return SeparationBounds(lower, upper, dist, holds)
+    holds = ((lower - slack) <= dist) & (dist <= (upper + slack))
+    bounds = SeparationBounds(lower, upper, dist, holds)
+    return SeparationBounds(*(v.item() for v in bounds)) if single else bounds
 
 
-def inverted_distance_residual(x1, x2) -> float:
+def inverted_distance_residual(x1, x2) -> np.ndarray | float:
     """Relative residual of |i(x1)-i(x2)| = |i(x1)| |i(x2)| |x1-x2|.
 
     Both sides are computed independently: the left from the inverted
-    points, the right from their norms and the original distance.
+    points, the right from their norms and the original distance,
+    multiplied smaller radius first so it stays finite at any radius.
     """
-    a = as_point(x1)
-    b = as_point(x2)
-    ya = invert(a)
-    yb = invert(b)
-    big = float(np.asarray(norms(ya - yb)))
-    r1 = float(np.asarray(norms(ya)))
-    r2 = float(np.asarray(norms(yb)))
-    small = float(np.asarray(norms(a - b)))
-    return abs(big - r1 * r2 * small) / max(big, RESIDUAL_FLOOR)
+    a, b, single = _as_pairs(x1, x2)
+    ya, yb = invert(a), invert(b)
+    big = norms(ya - yb)
+    r1, r2 = norms(ya), norms(yb)
+    rhs = (norms(a - b) * np.minimum(r1, r2)) * np.maximum(r1, r2)
+    out = np.abs(big - rhs) / np.maximum(big, RESIDUAL_FLOOR)
+    return float(out[0]) if single else out
 
 
-def law_of_cosines_residual(x1, x2) -> float:
+def law_of_cosines_residual(x1, x2) -> np.ndarray | float:
     """Relative residual of the squared-distance law at the origin.
 
     With r1 >= r2 the radii, 2*theta in [0, pi] the angle between the
     points (clamped arccos of the normalized dot product), the law reads
     |x1-x2|^2 = (r1-r2)^2 cos^2(theta) + (r1+r2)^2 sin^2(theta).
-    Left side from coordinates, right side from radii and angle.
+    Left side from coordinates, right side from radii and angle, both
+    divided by r1^2 so that they stay finite at any radius.
     """
-    a = as_point(x1)
-    b = as_point(x2)
-    if a.size != b.size:
-        raise DomainError("points must share a dimension")
-    r1 = float(np.asarray(norms(a)))
-    r2 = float(np.asarray(norms(b)))
-    if r1 < ORIGIN_EPSILON or r2 < ORIGIN_EPSILON:
-        raise OriginError("angle at the origin is undefined for a zero radius")
-    if r1 < r2:
-        a, b, r1, r2 = b, a, r2, r1
-    cos_full = float(np.clip((a @ b) / (r1 * r2), -1.0, 1.0))
+    a, b, single = _as_pairs(x1, x2)
+    ra, rb = norms(a), norms(b)
+    _reject_rows(np.minimum(ra, rb) < ORIGIN_EPSILON, OriginError,
+                 "angle at the origin is undefined for a zero radius", single)
+    r1 = np.maximum(ra, rb)
+    cos_full = np.clip(dot_rows(a / ra[:, None], b / rb[:, None]), -1.0, 1.0)
     theta = np.arccos(cos_full) / 2.0
-    rhs = (r1 - r2) ** 2 * np.cos(theta) ** 2 + (r1 + r2) ** 2 * np.sin(theta) ** 2
-    e2 = float(np.asarray(norms(a - b))) ** 2
-    return abs(e2 - rhs) / max(e2, RESIDUAL_FLOOR)
+    rhs = (np.abs(ra - rb) / r1) ** 2 * np.cos(theta) ** 2 + ((ra + rb) / r1) ** 2 * np.sin(theta) ** 2
+    e2 = (norms(a - b) / r1) ** 2
+    out = np.abs(e2 - rhs) / np.maximum(e2, RESIDUAL_FLOOR)
+    return float(out[0]) if single else out
 
 
 @dataclasses.dataclass(frozen=True)

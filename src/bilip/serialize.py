@@ -106,8 +106,14 @@ def load_map(path) -> SampledMap:
         raise ParseError(f"{side} is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict) or set(meta) != META_KEYS:
         raise ParseError(f"{side} must hold exactly the keys {sorted(META_KEYS)}")
+    for key in ("q1", "q2"):
+        if type(meta[key]) is not int:
+            raise ParseError(f"{side} field {key!r} must be a JSON integer, got {meta[key]!r}")
+    for key in ("fixes_origin", "avoids_origin", "unbounded_domain"):
+        if type(meta[key]) is not bool:
+            raise ParseError(f"{side} field {key!r} must be a JSON boolean, got {meta[key]!r}")
+    q1, q2 = meta["q1"], meta["q2"]
     try:
-        q1, q2 = int(meta["q1"]), int(meta["q2"])
         ambient = Ambient(meta["ambient"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{side} has malformed values: {exc}") from exc
@@ -133,9 +139,9 @@ def load_map(path) -> SampledMap:
     return SampledMap(
         domain=PointCloud(np.asarray(xs, dtype=np.float64), path.stem),
         codomain=PointCloud(np.asarray(ys, dtype=np.float64), f"{path.stem} image"),
-        fixes_origin=bool(meta["fixes_origin"]),
-        avoids_origin=bool(meta["avoids_origin"]),
-        unbounded_domain=bool(meta["unbounded_domain"]),
+        fixes_origin=meta["fixes_origin"],
+        avoids_origin=meta["avoids_origin"],
+        unbounded_domain=meta["unbounded_domain"],
         ambient=ambient,
     )
 

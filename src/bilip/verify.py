@@ -14,10 +14,11 @@ import math
 import numpy as np
 
 from .cones import ConeKind, asymptotic_directions, verify_cone_exchange
-from .distortion import AllPairs, estimate_bilip, radial_comparability, verify_cube_bound
+from .distortion import estimate_bilip, radial_comparability, verify_cube_bound
 from .errors import DomainError
 from .fixtures import map_samples, ray, shifted_line, spiral
 from .geometry import (
+    dot_rows,
     invert,
     inversion_derivative_norm,
     inverted_distance_residual,
@@ -29,8 +30,6 @@ from .geometry import (
     stereo_project,
 )
 from .maps import SamplerConfig, compactify_map, invert_map, registry, sample_analytic
-
-SUITE_NAMES = ("identities", "cube-bound", "compactify-iff", "cone-exchange")
 
 IDENTITY_DIMS = (1, 2, 3, 6)
 CUBE_BOUND_MEMBERS = ("identity", "scale-0.5", "scale-2", "scale-10", "diag-1-3", "shear")
@@ -59,8 +58,9 @@ def _suite(name: str, checks: list[dict]) -> dict:
     return {"suite": name, "passed": all(c["passed"] for c in gated), "checks": checks}
 
 
-def _random_pairs(rng: np.random.Generator, count: int, dim: int,
-                  r_lo: float = 1e-3, r_hi: float = 1e3):
+def random_pairs(rng: np.random.Generator, count: int, dim: int,
+                 r_lo: float = 1e-3, r_hi: float = 1e3) -> tuple[np.ndarray, np.ndarray]:
+    """Two (count, dim) stacks of random directions at log-uniform radii."""
     def draw():
         u = rng.normal(size=(count, dim))
         u /= np.linalg.norm(u, axis=1)[:, None]
@@ -109,14 +109,14 @@ def run_identities(seed: int = 0, pairs: int = 2000, tolerance: float = 1e-10,
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
     for dim in IDENTITY_DIMS:
-        a, b = _random_pairs(rng, pairs, dim)
-        worst_e = max(inverted_distance_residual(x1, x2) for x1, x2 in zip(a, b))
-        worst_c = max(law_of_cosines_residual(x1, x2) for x1, x2 in zip(a, b))
+        a, b = random_pairs(rng, pairs, dim)
+        worst_e = float(np.max(inverted_distance_residual(a, b)))
+        worst_c = float(np.max(law_of_cosines_residual(a, b)))
         checks.append(_at_most(f"distance product identity, dim {dim}", worst_e, tolerance))
         checks.append(_at_most(f"law of cosines identity, dim {dim}", worst_c, tolerance))
 
     for dim in IDENTITY_DIMS:
-        x, _ = _random_pairs(rng, pairs, dim, r_lo=1e-6, r_hi=1e6)
+        x, _ = random_pairs(rng, pairs, dim, r_lo=1e-6, r_hi=1e6)
         back = invert(invert(x))
         rel = np.linalg.norm(back - x, axis=1) / np.linalg.norm(x, axis=1)
         checks.append(_at_most(f"inversion involution, dim {dim}", float(rel.max()), tolerance))
@@ -127,23 +127,19 @@ def run_identities(seed: int = 0, pairs: int = 2000, tolerance: float = 1e-10,
     worst_d = 0.0
     per_dim = 250 if pairs >= 1000 else 50
     for dim in IDENTITY_DIMS:
-        x, _ = _random_pairs(rng, per_dim, dim)
-        for row in x:
-            r2 = float(row @ row)
-            got = inversion_derivative_norm(row)
-            worst_d = max(worst_d, abs(got - 1.0 / r2) * r2)
+        x, _ = random_pairs(rng, per_dim, dim)
+        r2 = dot_rows(x, x)
+        error = np.abs(inversion_derivative_norm(x) - 1.0 / r2) * r2
+        worst_d = max(worst_d, float(error.max()))
     checks.append(_at_most(f"derivative norm vs 1/|x|^2, dims <= {IDENTITY_DIMS[-1]}", worst_d, 1e-5))
 
-    inner, outer = _random_pairs(rng, pairs, 3)
+    inner, outer = random_pairs(rng, pairs, 3)
     grow = np.linalg.norm(inner, axis=1) * 1.5 / np.linalg.norm(outer, axis=1)
     outer = outer * np.maximum(1.0, grow * 1.001)[:, None]
-    failures = sum(
-        0 if separation_bounds(x, x_far).holds else 1 for x, x_far in zip(inner, outer)
-    )
-    base = np.array([1.0, 0.0, 0.0])
-    for x_far in (3.0 * base, -3.0 * base):
-        if not separation_bounds(base, x_far).holds:
-            failures += 1
+    base = np.array([1.0, 0.0, 0.0])  # with 3*base and -3*base it attains both bounds
+    inner = np.vstack([inner, base, base])
+    outer = np.vstack([outer, 3.0 * base, -3.0 * base])
+    failures = np.count_nonzero(~separation_bounds(inner, outer).holds)
     checks.append(_at_most("radial sandwich violations", float(failures), 0.0))
 
     glue = chart_gluing_residuals(seed=seed)
@@ -272,13 +268,16 @@ def run_cone_exchange(seed: int = 0, tolerance: float = 1e-10) -> dict:
     return _suite("cone-exchange", checks)
 
 
+_SUITES = {
+    "identities": run_identities,
+    "cube-bound": run_cube_bound,
+    "compactify-iff": run_compactify_iff,
+    "cone-exchange": run_cone_exchange,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, seed: int = 0, **kwargs) -> dict:
-    if name == "identities":
-        return run_identities(seed=seed, **kwargs)
-    if name == "cube-bound":
-        return run_cube_bound(seed=seed, **kwargs)
-    if name == "compactify-iff":
-        return run_compactify_iff(seed=seed, **kwargs)
-    if name == "cone-exchange":
-        return run_cone_exchange(seed=seed, **kwargs)
-    raise DomainError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    if name not in _SUITES:
+        raise DomainError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    return _SUITES[name](seed=seed, **kwargs)

@@ -124,6 +124,18 @@ class TestDistortion:
         assert data["bilip_constant"] == 2.0
 
 
+    def test_self_pair_draws_exit_4(self, tmp_path):
+        assert run_cli(
+            "generate", "shear", "--n", "3", "--seed", "1", "--output", "m.csv", cwd=tmp_path
+        ).returncode == 0
+        out = run_cli(
+            "distortion", "m.csv", "--strategy", "random", "--pairs", "1", "--seed", "11",
+            cwd=tmp_path,
+        )
+        assert out.returncode == 4
+        assert "self-pairs" in out.stderr
+
+
 class TestCones:
     def test_ray_exchange_and_directions_file(self, tmp_path):
         assert run_cli(
@@ -136,8 +148,19 @@ class TestCones:
         data = json.loads(out.stdout)
         assert data["exchange"]["infinity_to_origin"] <= 1e-10
         assert data["exchange"]["origin_to_infinity"] <= 1e-10
+        assert data["shells_overlap"] is False
+        assert data["shell_gap_log"] > 0.0
         dirs = load_cloud(tmp_path / "dirs.csv")
         assert np.allclose(np.linalg.norm(dirs.points, axis=1), 1.0, atol=1e-12)
+
+    def test_two_point_cloud_reports_overlapping_shells(self, tmp_path):
+        (tmp_path / "two.csv").write_text("x1,x2\n1.0,0.0\n0.0,2.0\n")
+        out = run_cli("cones", "two.csv", cwd=tmp_path)
+        assert out.returncode == 0
+        data = json.loads(out.stdout)
+        assert data["exchange"] == {"infinity_to_origin": 0.0, "origin_to_infinity": 0.0}
+        assert data["shells_overlap"] is True
+        assert data["shell_gap_log"] == pytest.approx(-np.log(2.0), rel=1e-15)
 
     def test_empty_link_band_exits_4(self, tmp_path):
         assert run_cli(
@@ -219,3 +242,13 @@ class TestUsageErrors:
         out = run_cli("generate", "scaling", "--output", "s.csv", cwd=tmp_path)
         assert out.returncode == 2
         assert "needs --lambda" in out.stderr
+
+    def test_string_flag_in_sidecar_exits_2(self, tmp_path):
+        path = make_scaling(tmp_path)
+        side = tmp_path / "scale.csv.meta.json"
+        meta = json.loads(side.read_text())
+        meta["fixes_origin"] = "false"
+        side.write_text(json.dumps(meta))
+        out = run_cli("distortion", str(path), cwd=tmp_path)
+        assert out.returncode == 2
+        assert "field 'fixes_origin' must be a JSON boolean" in out.stderr

@@ -75,8 +75,14 @@ class TestEstimate:
 
     def test_degenerate_map(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(DegenerateMap):
+        with pytest.raises(DegenerateMap, match="coincident in the domain"):
             estimate_bilip(make_map(pts, pts))
+
+    def test_self_pair_draws_are_named(self):
+        # two distinct samples, but the single pair seed 0 draws is (1, 1)
+        pts = np.array([[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(DegenerateMap, match=r"self-pairs \(i == j\); samples=1"):
+            estimate_bilip(make_map(pts, pts), SeededRandom(samples=1, seed=0))
 
     def test_infinite_contract_on_codomain_collision(self):
         dom = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])

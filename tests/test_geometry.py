@@ -1,5 +1,7 @@
 """Frozen oracles and invariants for the pointwise transforms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from bilip.errors import DomainError, OriginError, PoleError
 from bilip.geometry import (
+    _LARGE_RADIUS,
+    ORIGIN_EPSILON,
     PointCloud,
     inversion_derivative_norm,
     invert,
@@ -248,9 +252,8 @@ class TestDistanceIdentities:
             n = 2000
             x1 = unit_rows(rng, n, q) * log_uniform_radii(rng, n, 1e-3, 1e3)[:, None]
             x2 = unit_rows(rng, n, q) * log_uniform_radii(rng, n, 1e-3, 1e3)[:, None]
-            for a, b in zip(x1, x2):
-                assert inverted_distance_residual(a, b) <= 1e-10
-                assert law_of_cosines_residual(a, b) <= 1e-10
+            assert np.all(inverted_distance_residual(x1, x2) <= 1e-10)
+            assert np.all(law_of_cosines_residual(x1, x2) <= 1e-10)
 
     def test_law_rejects_origin(self):
         with pytest.raises(OriginError):
@@ -261,6 +264,99 @@ class TestDistanceIdentities:
 
     def test_collinear_law(self):
         assert law_of_cosines_residual([2.0, 0.0], [1.0, 0.0]) <= 1e-14
+
+
+class TestBatchContract:
+    """The pair and point checks take (q,) or (n, q), like the transforms."""
+
+    def test_single_points_give_floats(self):
+        assert type(inverted_distance_residual([1.0, 0.0], [2.0, 0.0])) is float
+        assert type(law_of_cosines_residual([1.0, 0.0], [0.0, 1.0])) is float
+        assert type(inversion_derivative_norm([1.0, 0.0])) is float
+        bounds = separation_bounds([1.0, 0.0], [3.0, 0.0])
+        assert [type(v) for v in bounds] == [float, float, float, bool]
+
+    def test_batch_equals_rows(self):
+        rng = np.random.default_rng(71)
+        for q in (1, 2, 3, 6):
+            x1 = unit_rows(rng, 50, q) * log_uniform_radii(rng, 50, 1e-3, 1e3)[:, None]
+            x2 = unit_rows(rng, 50, q) * log_uniform_radii(rng, 50, 1e-3, 1e3)[:, None]
+            for fn, args in (
+                (inverted_distance_residual, (x1, x2)),
+                (law_of_cosines_residual, (x1, x2)),
+                (inversion_derivative_norm, (x1,)),
+            ):
+                batch = fn(*args)
+                assert batch.shape == (50,)
+                assert batch.tolist() == [fn(*row) for row in zip(*args)]
+            far = x2 * (2.0 * norms(x1) / norms(x2))[:, None]
+            bounds = separation_bounds(x1, far)
+            rows = [separation_bounds(a, b) for a, b in zip(x1, far)]
+            assert bounds.holds.all()
+            for k, field in enumerate(bounds):
+                assert field.shape == (50,)
+                assert field.tolist() == [row[k] for row in rows]
+
+    def test_offending_row_is_named(self):
+        good = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+        zero = good.copy()
+        zero[1] = 0.0
+        nan = good.copy()
+        nan[2, 0] = np.nan
+        same_radius = 2.0 * good
+        same_radius[2] = good[2]
+        with pytest.raises(DomainError, match=r"non-finite.*\(row 2\)"):
+            inverted_distance_residual(good, nan)
+        with pytest.raises(OriginError, match=r"\(row 1\)"):
+            inverted_distance_residual(zero, good)
+        with pytest.raises(OriginError, match=r"\(row 1\)"):
+            law_of_cosines_residual(good, zero)
+        with pytest.raises(OriginError, match=r"\(row 1\)"):
+            separation_bounds(zero, same_radius)
+        with pytest.raises(DomainError, match=r"must exceed.*\(row 2\)"):
+            separation_bounds(good, same_radius)
+        with pytest.raises(OriginError, match=r"\(row 1\)"):
+            inversion_derivative_norm(zero)
+        # h = 2e-4 exceeds 1e-4 * |x| only at the unit-radius row
+        with pytest.raises(DomainError, match=r"step.*\(row 0\)"):
+            inversion_derivative_norm(good, h=2e-4)
+        assert inversion_derivative_norm(good[1:], h=2e-4).shape == (2,)
+
+    def test_mismatched_shapes_rejected(self):
+        good = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+        for fn in (inverted_distance_residual, law_of_cosines_residual):
+            with pytest.raises(DomainError, match="share a shape"):
+                fn(good, good[:2])
+            with pytest.raises(DomainError, match="share a shape"):
+                fn([1.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="share a shape"):
+            separation_bounds(good[0], 2.0 * good)
+
+
+# radii from just above the origin guard to just below the square of the
+# large-radius switch, 1e-299..1e299
+_LOG_RADIUS_LO = round(np.log10(ORIGIN_EPSILON)) + 1
+_LOG_RADIUS_HI = 2 * round(np.log10(_LARGE_RADIUS)) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from((1, 2, 3, 6)),
+    decade_1=st.integers(_LOG_RADIUS_LO, _LOG_RADIUS_HI - 1),
+    decade_2=st.integers(_LOG_RADIUS_LO, _LOG_RADIUS_HI - 1),
+)
+def test_identities_at_extreme_radii(seed: int, q: int, decade_1: int, decade_2: int) -> None:
+    rng = np.random.default_rng(seed)
+    n = 8
+    x1 = unit_rows(rng, n, q) * (10.0 ** (decade_1 + rng.uniform(size=n)))[:, None]
+    x2 = unit_rows(rng, n, q) * (10.0 ** (decade_2 + rng.uniform(size=n)))[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for residual in (inverted_distance_residual, law_of_cosines_residual):
+            batch = residual(x1, x2)
+            assert batch.tolist() == [residual(a, b) for a, b in zip(x1, x2)]
+            assert np.all(batch <= 1e-10), residual.__name__
 
 
 @settings(max_examples=50, deadline=None)

@@ -158,6 +158,23 @@ class TestMap:
         with pytest.raises(ParseError):
             load_map(path)
 
+    @pytest.mark.parametrize("key, bad", [
+        ("q1", 2.9),
+        ("q1", "2"),
+        ("q2", True),
+        ("fixes_origin", "false"),
+        ("avoids_origin", 0),
+        ("unbounded_domain", None),
+    ])
+    def test_sidecar_values_are_not_coerced(self, tmp_path, key, bad):
+        path = tmp_path / "m.csv"
+        save_map(sample_map(), path)
+        meta = json.loads(sidecar_path(path).read_text())
+        meta[key] = bad
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match=f"field '{key}'"):
+            load_map(path)
+
 
 class TestReports:
     def test_schema_stamp_and_newline(self):

@@ -41,7 +41,7 @@ def test_suites_are_deterministic():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown suite 'everything'"):
         run_suite("everything", seed=0)
 
 
