@@ -9,8 +9,8 @@ The submodules split along what they act on:
   conjugation by inversion, compactification, the example registry.
 * ``distortion``: empirical bi-Lipschitz constants and the cubed-bound
   check for inverted maps.
-* ``cones``: asymptotic directions, links, cones, and the exchange of
-  the two cone types under inversion.
+* ``cones``: asymptotic directions, links, and the exchange of the
+  two direction sets under inversion.
 * ``serialize``: CSV/JSON persistence with exact float round trips.
 * ``fixtures``: deterministic point clouds and sampled registry maps.
 * ``verify``: named check suites used by the command line.
@@ -19,7 +19,6 @@ The most commonly used names are re-exported here.
 """
 
 from .cones import (
-    BandConvention,
     ConeKind,
     DirectionSet,
     ExchangeResiduals,
@@ -27,8 +26,6 @@ from .cones import (
     ShellConfig,
     angular_hausdorff,
     asymptotic_directions,
-    compare_cones,
-    cone_over,
     link,
     verify_cone_exchange,
 )
@@ -38,7 +35,6 @@ from .distortion import (
     DistortionReport,
     RadialReport,
     SeededRandom,
-    compare_compactified,
     estimate_bilip,
     radial_comparability,
     verify_cube_bound,
@@ -89,7 +85,6 @@ __all__ = [
     "Ambient",
     "AllPairs",
     "AnalyticMap",
-    "BandConvention",
     "BilipError",
     "ConeKind",
     "CubeBoundResult",
@@ -115,9 +110,6 @@ __all__ = [
     "angular_hausdorff",
     "asymptotic_directions",
     "compactify_map",
-    "compare_compactified",
-    "compare_cones",
-    "cone_over",
     "dumps_report",
     "estimate_bilip",
     "inversion_derivative_norm",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fixtures, verify
 from .cones import ConeKind, ShellConfig, asymptotic_directions, link, verify_cone_exchange
-from .distortion import AllPairs, SeededRandom, estimate_bilip
+from .distortion import DEFAULT_RANDOM_PAIRS, AllPairs, SeededRandom, estimate_bilip
 from .errors import (
     BilipError,
     DegenerateMap,
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distortion", help="estimate bi-Lipschitz constants of a map file")
     p.add_argument("input")
     p.add_argument("--strategy", choices=("all", "random"), default="all")
-    p.add_argument("--pairs", type=int, default=None, help="random-strategy sample count")
+    p.add_argument("--pairs", type=int, default=DEFAULT_RANDOM_PAIRS, help="random-strategy sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shell", type=_shell_range, default=None, metavar="R_MIN:R_MAX")
     p.add_argument("--output", default=None, help="report path (stdout when absent)")
@@ -170,7 +170,7 @@ def cmd_distortion(args) -> tuple[dict, int]:
     if args.strategy == "all":
         strategy = AllPairs()
     else:
-        strategy = SeededRandom(samples=args.pairs or 10**6, seed=args.seed)
+        strategy = SeededRandom(samples=args.pairs, seed=args.seed)
     report = estimate_bilip(m, strategy)
     payload = {
         "command": "distortion",

@@ -1,4 +1,4 @@
-"""Asymptotic direction sets, links, cones, and the inversion exchange.
+"""Asymptotic direction sets, links, and the inversion exchange.
 
 Directions of samples near the origin approximate the asymptotic set at
 0; directions of the outermost samples approximate the one at infinity.
@@ -25,11 +25,6 @@ _BAND_SLACK = 1e-15  # absorbs normalization rounding at band edges
 class ConeKind(enum.Enum):
     AT_ORIGIN = "AtOrigin"
     AT_INFINITY = "AtInfinity"
-
-
-class BandConvention(enum.Enum):
-    LOG = "log"  # |log|x| - log R| <= band; exactly inversion-equivariant
-    LINEAR = "linear"  # ||x| - R| <= band * R
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,18 +84,13 @@ class LinkSlice:
     points: PointCloud
     radius: float
     band: float
-    convention: BandConvention
     indices: np.ndarray
 
     def __post_init__(self) -> None:
         r = self.points.radii()
-        if self.convention is BandConvention.LOG:
-            off = np.abs(np.log(r) - math.log(self.radius))
-            if np.max(off) > self.band + _BAND_SLACK:
-                raise DomainError("slice member falls outside its log band")
-        else:
-            if np.max(np.abs(r - self.radius)) > self.band * self.radius + _BAND_SLACK * self.radius:
-                raise DomainError("slice member falls outside its band")
+        off = np.abs(np.log(r) - math.log(self.radius))
+        if np.max(off) > self.band + _BAND_SLACK:
+            raise DomainError("slice member falls outside its log band")
 
 
 class ExchangeResiduals(NamedTuple):
@@ -132,17 +122,11 @@ def asymptotic_directions(
     return DirectionSet(pts / radii[:, None], radii, kind)
 
 
-def link(
-    cloud: PointCloud,
-    radius: float,
-    band: float,
-    convention: BandConvention = BandConvention.LOG,
-) -> LinkSlice:
+def link(cloud: PointCloud, radius: float, band: float) -> LinkSlice:
     """The slice of a cloud in a radial band around ``radius``.
 
-    The default symmetrized log band |log|x| - log R| <= band is mapped
-    exactly to itself around 1/R by inversion; the linear convention
-    ||x| - R| <= band * R stays available.  A 1e-15 slack absorbs
+    The symmetrized log band |log|x| - log R| <= band is mapped exactly
+    to itself around 1/R by inversion.  A 1e-15 slack absorbs
     normalization rounding so band = 0 keeps exact-radius points.
 
     Raises:
@@ -153,42 +137,17 @@ def link(
     if not 0.0 <= band < 1.0:
         raise DomainError("band must lie in [0, 1)")
     r = cloud.radii()
-    if convention is BandConvention.LOG:
-        with np.errstate(divide="ignore"):
-            off = np.abs(np.log(r) - math.log(radius))
-        keep = np.flatnonzero((r > 0.0) & (off <= band + _BAND_SLACK))
-    else:
-        keep = np.flatnonzero(np.abs(r - radius) <= band * radius + _BAND_SLACK * radius)
+    with np.errstate(divide="ignore"):
+        off = np.abs(np.log(r) - math.log(radius))
+    keep = np.flatnonzero((r > 0.0) & (off <= band + _BAND_SLACK))
     if len(keep) == 0:
         raise InsufficientPoints(f"no points in the band around radius {radius}")
     return LinkSlice(
         points=PointCloud(cloud.points[keep], cloud.label),
         radius=float(radius),
         band=float(band),
-        convention=convention,
         indices=keep,
     )
-
-
-def cone_over(dirs: DirectionSet, radii) -> PointCloud:
-    """The product set {t * u}: every direction at every radius.
-
-    A zero radius contributes the origin once, regardless of how many
-    directions there are.
-    """
-    rr = np.asarray(radii, dtype=np.float64)
-    if rr.ndim != 1 or rr.size == 0:
-        raise DomainError("radii must be a non-empty 1-D list")
-    if np.any(rr < 0.0) or not np.all(np.isfinite(rr)):
-        raise DomainError("radii must be finite and non-negative")
-    if len(dirs) == 0:
-        raise InsufficientPoints("no directions to cone over")
-    rows = []
-    if np.any(rr == 0.0):
-        rows.append(np.zeros((1, dirs.dim)))
-    for t in rr[rr > 0.0]:
-        rows.append(t * dirs.directions)
-    return PointCloud(np.vstack(rows), "cone")
 
 
 def angular_hausdorff(a: DirectionSet, b: DirectionSet) -> float:
@@ -241,19 +200,4 @@ def verify_cone_exchange(
     return ExchangeResiduals(
         infinity_to_origin=angular_hausdorff(inf_dirs, origin_of_inv),
         origin_to_infinity=angular_hausdorff(origin_dirs, inf_of_inv),
-    )
-
-
-def compare_cones(
-    cloud_a: PointCloud,
-    cloud_b: PointCloud,
-    kind: ConeKind,
-    shell: ShellConfig = ShellConfig(),
-) -> float:
-    """Angular Hausdorff distance between two clouds' asymptotic sets."""
-    if cloud_a.dim != cloud_b.dim:
-        raise DomainError("clouds must share an ambient dimension")
-    return angular_hausdorff(
-        asymptotic_directions(cloud_a, kind, shell),
-        asymptotic_directions(cloud_b, kind, shell),
     )

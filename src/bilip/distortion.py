@@ -15,18 +15,16 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import DegenerateMap, DomainError
-from .maps import AnalyticMap, SampledMap, SamplerConfig, invert_map, compactify_map, sample_analytic
+from .maps import AnalyticMap, SampledMap, SamplerConfig, invert_map, sample_analytic
 
 COINCIDENCE_EPSILON = 1e-12  # relative; closer domain pairs are skipped
-ALL_PAIRS_CAP = 2000  # n above this must use SeededRandom
+ALL_PAIRS_CAP = 2000  # keeps all-pairs runs under a second; larger n uses SeededRandom
 DEFAULT_RANDOM_PAIRS = 10**6
 
 
 @dataclasses.dataclass(frozen=True)
 class AllPairs:
-    """Evaluate every unordered pair; capped to keep runs under a second."""
-
-    cap: int = ALL_PAIRS_CAP
+    """Evaluate every unordered pair of a map with at most ALL_PAIRS_CAP samples."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,9 +74,9 @@ class CubeBoundResult(NamedTuple):
 
 def _pair_indices(n: int, strategy: PairStrategy) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(strategy, AllPairs):
-        if n > strategy.cap:
+        if n > ALL_PAIRS_CAP:
             raise DomainError(
-                f"{n} samples exceed the all-pairs cap {strategy.cap}; use SeededRandom"
+                f"{n} samples exceed the all-pairs cap {ALL_PAIRS_CAP}; use SeededRandom"
             )
         return np.triu_indices(n, k=1)
     if isinstance(strategy, SeededRandom):
@@ -178,17 +176,3 @@ def verify_cube_bound(
     report = estimate_bilip(invert_map(m), strategy)
     bound = float(f.bilip_constant**3)
     return CubeBoundResult(report, bound, report.bilip_constant <= bound + 1e-6)
-
-
-def compare_compactified(
-    m: SampledMap, strategy: PairStrategy = AllPairs()
-) -> tuple[DistortionReport, DistortionReport]:
-    """Estimate a map and its stereographic compactification side by side.
-
-    A map is bi-Lipschitz exactly when its compactified copy is, so
-    the checkable signal is both estimates coming out finite; no
-    quantitative relation between the two constants is asserted.
-    """
-    original = estimate_bilip(m, strategy)
-    compactified = estimate_bilip(compactify_map(m), strategy)
-    return original, compactified

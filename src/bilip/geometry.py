@@ -20,7 +20,6 @@ ORIGIN_EPSILON = 1e-300  # reject only genuine underflow, not small radii
 POLE_EPSILON = 1e-12  # gap 1 - p_last below which projection is refused
 SPHERE_TOLERANCE = 1e-9  # how far off the unit sphere a point may sit
 RESIDUAL_FLOOR = 1e-30  # denominator floor for relative residuals
-DEDUP_EPSILON = 1e-12  # relative near-duplicate threshold for clouds
 CHART_RADIUS = 0.5  # the half-ball chart is defined on |y| <= 1/2
 CHART_BOUNDARY_SLACK = 1e-12  # rounding allowance at the chart boundary
 
@@ -29,7 +28,9 @@ _LARGE_RADIUS = 1e150  # beyond this, |x|^2 risks overflow; switch forms
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
     """Return ``(points, was_single)`` with points shaped (n, q)."""
-    p = np.asarray(x, dtype=np.float64)
+    # C order: numpy's summation order follows memory layout, so a batch
+    # matches its rows bit for bit only if every input is laid out alike
+    p = np.asarray(x, dtype=np.float64, order="C")
     single = p.ndim == 1
     if single:
         p = p[None, :]
@@ -317,9 +318,8 @@ def law_of_cosines_residual(x1, x2) -> np.ndarray | float:
 class PointCloud:
     """A finite stack of points sharing one ambient dimension.
 
-    ``points`` is an (n, dim) float64 array; rows are points.  Clouds do
-    not deduplicate on their own: near-duplicate removal is explicit via
-    ``deduplicated`` so that index-paired structures stay aligned.
+    ``points`` is an (n, dim) float64 array; rows are points.  Clouds
+    never drop or reorder points, so index-paired structures stay aligned.
     """
 
     points: np.ndarray
@@ -342,45 +342,3 @@ class PointCloud:
 
     def radii(self) -> np.ndarray:
         return np.asarray(norms(self.points))
-
-    def scaled(self, factor: float) -> "PointCloud":
-        if not factor > 0:
-            raise DomainError("scale factor must be positive")
-        return PointCloud(self.points * factor, self.label)
-
-    def deduplicated(self, epsilon: float = DEDUP_EPSILON) -> tuple["PointCloud", np.ndarray]:
-        """Drop later members of near-duplicate pairs.
-
-        Two points collide when |a - b| < epsilon * (1 + max(|a|, |b|)).
-        Returns the thinned cloud and the indices kept, in order.
-        """
-        from scipy.spatial import cKDTree
-
-        pts = self.points
-        r = self.radii()
-        cutoff = epsilon * (1.0 + float(r.max()))
-        keep = np.ones(len(self), dtype=bool)
-        if cutoff > 0:
-            pairs = cKDTree(pts).query_pairs(cutoff, output_type="ndarray")
-            if len(pairs):
-                pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-                d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-                limit = epsilon * (1.0 + np.maximum(r[pairs[:, 0]], r[pairs[:, 1]]))
-                for i, j in pairs[d < limit]:
-                    if keep[i] and keep[j]:
-                        keep[j] = False
-        kept = np.flatnonzero(keep)
-        return PointCloud(pts[kept], self.label), kept
-
-    def min_relative_separation(self) -> float:
-        """Smallest |a-b| / (1 + max(|a|,|b|)) over distinct pairs."""
-        pts = self.points
-        if len(self) < 2:
-            return np.inf
-        diffs = pts[:, None, :] - pts[None, :, :]
-        d = np.linalg.norm(diffs, axis=2)
-        r = self.radii()
-        scale = 1.0 + np.maximum(r[:, None], r[None, :])
-        ratio = d / scale
-        iu = np.triu_indices(len(self), k=1)
-        return float(ratio[iu].min())

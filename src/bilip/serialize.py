@@ -43,33 +43,62 @@ def _map_header(q1: int, q2: int) -> list[str]:
     return [f"x{i}" for i in range(1, q1 + 1)] + [f"y{i}" for i in range(1, q2 + 1)]
 
 
-def save_cloud(cloud: PointCloud, path) -> None:
+def _write_table(path, header: list[str], *blocks: np.ndarray) -> None:
+    """Write ``header``, then one CSV line per row index: that row of every block.
+
+    Rows are formatted and written one at a time; no text copy of the
+    whole table is built.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_cloud_header(cloud.dim))
-        for row in cloud.points:
-            writer.writerow([format_float(v) for v in row])
+        writer.writerow(header)
+        for parts in zip(*blocks):
+            writer.writerow([format_float(v) for part in parts for v in part.tolist()])
 
 
-def load_cloud(path) -> PointCloud:
-    path = pathlib.Path(path)
+def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
+    """The float rows of a headed CSV table, shape (n, number of header fields).
+
+    ``header_error(header)`` returns why the header is unacceptable, or
+    None.  Every row must carry exactly as many fields as the header.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path} is empty") from None
+        problem = header_error(header)
+        if problem is not None:
+            raise ParseError(f"{path} {problem}")
         q = len(header)
-        if header != _cloud_header(q) or q == 0:
-            raise ParseError(f"{path} header {header!r} is not x1..xq")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != q:
                 raise ParseError(f"{path}:{lineno} has {len(row)} fields, expected {q}")
-            rows.append([_parse_float(v, f"{path}:{lineno}") for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                # only a failing row pays for naming its line and first bad token
+                rows.append([_parse_float(v, f"{path}:{lineno}") for v in row])
     if not rows:
         raise ParseError(f"{path} holds no points")
-    return PointCloud(np.asarray(rows, dtype=np.float64), path.stem)
+    return np.asarray(rows, dtype=np.float64)
+
+
+def save_cloud(cloud: PointCloud, path) -> None:
+    _write_table(path, _cloud_header(cloud.dim), cloud.points)
+
+
+def load_cloud(path) -> PointCloud:
+    path = pathlib.Path(path)
+
+    def header_error(header: list[str]) -> str | None:
+        if header and header == _cloud_header(len(header)):
+            return None
+        return f"header {header!r} is not x1..xq"
+
+    return PointCloud(_read_table(path, header_error), path.stem)
 
 
 def sidecar_path(path) -> pathlib.Path:
@@ -85,11 +114,7 @@ def save_map(m: SampledMap, path) -> None:
         "unbounded_domain": m.unbounded_domain,
         "ambient": m.ambient.value,
     }
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_map_header(m.dim_in, m.dim_out))
-        for x, y in zip(m.domain.points, m.codomain.points):
-            writer.writerow([format_float(v) for v in x] + [format_float(v) for v in y])
+    _write_table(path, _map_header(m.dim_in, m.dim_out), m.domain.points, m.codomain.points)
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -119,26 +144,16 @@ def load_map(path) -> SampledMap:
         raise ParseError(f"{side} has malformed values: {exc}") from exc
     if q1 < 1 or q2 < 1:
         raise ParseError(f"{side} dimensions must be positive")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path} is empty") from None
-        if header != _map_header(q1, q2):
-            raise ParseError(f"{path} header does not match q1={q1}, q2={q2}")
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != q1 + q2:
-                raise ParseError(
-                    f"{path}:{lineno} has {len(row)} fields, expected {q1 + q2}"
-                )
-            vals = [_parse_float(v, f"{path}:{lineno}") for v in row]
-            xs.append(vals[:q1])
-            ys.append(vals[q1:])
+
+    def header_error(header: list[str]) -> str | None:
+        return None if header == _map_header(q1, q2) else f"header does not match q1={q1}, q2={q2}"
+
+    table = _read_table(path, header_error)
+    # contiguous copies: a strided view would be copied again by every
+    # geometry call on it, which wants C-ordered rows
     return SampledMap(
-        domain=PointCloud(np.asarray(xs, dtype=np.float64), path.stem),
-        codomain=PointCloud(np.asarray(ys, dtype=np.float64), f"{path.stem} image"),
+        domain=PointCloud(table[:, :q1].copy(), path.stem),
+        codomain=PointCloud(table[:, q1:].copy(), f"{path.stem} image"),
         fixes_origin=meta["fixes_origin"],
         avoids_origin=meta["avoids_origin"],
         unbounded_domain=meta["unbounded_domain"],

@@ -34,6 +34,7 @@ from .maps import SamplerConfig, compactify_map, invert_map, registry, sample_an
 IDENTITY_DIMS = (1, 2, 3, 6)
 CUBE_BOUND_MEMBERS = ("identity", "scale-0.5", "scale-2", "scale-10", "diag-1-3", "shear")
 BILIPSCHITZ_MEMBERS = CUBE_BOUND_MEMBERS + ("radial-shell-1", "radial-shell-1.25")
+CHART_TOLERANCE = 1e-9  # gate on the near-pole chart gluing residual
 
 
 def _check(name: str, measured: float, tolerance, passed: bool) -> dict:
@@ -98,14 +99,18 @@ def chart_gluing_residuals(seed: int = 0, count: int = 200) -> dict[str, float]:
 
 
 def run_identities(seed: int = 0, pairs: int = 2000, tolerance: float = 1e-10,
-                   gate_renormalized_chart: bool = False,
-                   chart_tolerance: float = 1e-9) -> dict:
+                   gate_renormalized_chart: bool = False) -> dict:
     """Distance identities, round trips, derivative norm, radial sandwich.
 
     ``gate_renormalized_chart`` turns the reported residual of the
-    renormalized printed chart into an assertion at ``chart_tolerance``;
+    renormalized printed chart into an assertion at ``CHART_TOLERANCE``;
     the corrected chart is always asserted.
+
+    Raises:
+        DomainError: if ``pairs`` < 1.
     """
+    if pairs < 1:
+        raise DomainError(f"identity sweeps need pairs >= 1, got {pairs}")
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
     for dim in IDENTITY_DIMS:
@@ -143,9 +148,9 @@ def run_identities(seed: int = 0, pairs: int = 2000, tolerance: float = 1e-10,
     checks.append(_at_most("radial sandwich violations", float(failures), 0.0))
 
     glue = chart_gluing_residuals(seed=seed)
-    checks.append(_at_most("corrected near-pole chart gluing residual", glue["corrected"], chart_tolerance))
+    checks.append(_at_most("corrected near-pole chart gluing residual", glue["corrected"], CHART_TOLERANCE))
     if gate_renormalized_chart:
-        checks.append(_at_most("renormalized near-pole chart gluing residual", glue["renormalized"], chart_tolerance))
+        checks.append(_at_most("renormalized near-pole chart gluing residual", glue["renormalized"], CHART_TOLERANCE))
     else:
         checks.append(_info("renormalized near-pole chart gluing residual (reported)", glue["renormalized"]))
     checks.append(_info("verbatim near-pole chart gluing residual (reported)", glue["verbatim"]))

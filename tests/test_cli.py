@@ -135,6 +135,12 @@ class TestDistortion:
         assert out.returncode == 4
         assert "self-pairs" in out.stderr
 
+    def test_zero_random_pairs_exits_2(self, tmp_path):
+        path = make_scaling(tmp_path)
+        out = run_cli("distortion", str(path), "--strategy", "random", "--pairs", "0", cwd=tmp_path)
+        assert out.returncode == 2
+        assert "need at least one sampled pair" in out.stderr
+
 
 class TestCones:
     def test_ray_exchange_and_directions_file(self, tmp_path):
@@ -199,6 +205,12 @@ class TestVerifyCommand:
         assert "renormalized" in out.stderr
         data = json.loads(out.stdout)
         assert data["passed"] is False
+
+    def test_zero_identity_pairs_exits_2(self, tmp_path):
+        out = run_cli("verify", "identities", "--pairs", "0", cwd=tmp_path)
+        assert out.returncode == 2
+        assert "identity sweeps need pairs >= 1, got 0" in out.stderr
+        assert out.stdout == ""
 
 
 class TestDeterminism:

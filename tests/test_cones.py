@@ -1,4 +1,4 @@
-"""Direction sets, links, cones, and the exchange under inversion.
+"""Direction sets, links, and the exchange under inversion.
 
 Angular oracles here are frozen by hand: perpendicular unit vectors sit
 a quarter turn apart, a rotated ray recovers the rotation angle, and
@@ -13,14 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilip.cones import (
-    BandConvention,
     ConeKind,
     DirectionSet,
     ShellConfig,
     angular_hausdorff,
     asymptotic_directions,
-    compare_cones,
-    cone_over,
     link,
     verify_cone_exchange,
 )
@@ -191,11 +188,6 @@ class TestLink:
         sl = link(PointCloud(pts, "three"), 1.0, 0.1)
         assert np.array_equal(sl.indices, np.array([1]))
 
-    def test_linear_convention(self):
-        pts = np.array([[0.9, 0.0], [1.05, 0.0], [2.0, 0.0]])
-        sl = link(PointCloud(pts, "three"), 1.0, 0.1, BandConvention.LINEAR)
-        assert np.array_equal(sl.indices, np.array([0, 1]))
-
     def test_origin_never_in_log_band(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
         sl = link(PointCloud(pts, "pair"), 1.0, 0.5)
@@ -245,29 +237,12 @@ def test_link_band_exchange_property(seed):
 
 
 class TestConeOver:
-    def test_single_direction_product(self):
-        ds = direction_set([[1.0, 0.0]])
-        cone = cone_over(ds, np.array([0.0, 1.0, 2.0]))
-        assert np.array_equal(cone.points, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-
-    def test_origin_appears_once(self):
-        ds = direction_set([[1.0, 0.0], [0.0, 1.0]])
-        cone = cone_over(ds, np.array([0.0, 1.0]))
-        zero_rows = np.all(cone.points == 0.0, axis=1)
-        assert int(zero_rows.sum()) == 1
-        assert len(cone) == 3
-
-    def test_rejects_bad_radii(self):
-        ds = direction_set([[1.0, 0.0]])
-        with pytest.raises(DomainError):
-            cone_over(ds, np.array([-1.0]))
-        with pytest.raises(DomainError):
-            cone_over(ds, np.array([]))
+    """Links of the cone {t * u} over a direction set."""
 
     def test_link_of_cone_recovers_directions(self):
         rng = np.random.default_rng(13)
         base = direction_set(unit_rows(rng, 6, 3))
-        cone = cone_over(base, np.array([1.0, 2.0, 4.0]))
+        cone = PointCloud(np.vstack([t * base.directions for t in (1.0, 2.0, 4.0)]), "cone")
         sl = link(cone, 2.0, 0.0)
         r = sl.points.radii()
         recovered = DirectionSet(sl.points.points / r[:, None], r, ConeKind.AT_INFINITY)
@@ -307,18 +282,23 @@ def test_exchange_property_random_clouds(seed):
 
 
 class TestCompareCones:
+    """Angular Hausdorff distance between the direction sets of two clouds."""
+
     def test_rotated_ray_recovers_the_angle(self):
         phi = 0.3
         rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
         ray = ray_cloud(np.array([1.0, 0.0]), count=40)
         turned = PointCloud(ray.points @ rot.T, "turned")
-        got = compare_cones(ray, turned, ConeKind.AT_INFINITY)
+        kind = ConeKind.AT_INFINITY
+        got = angular_hausdorff(asymptotic_directions(ray, kind), asymptotic_directions(turned, kind))
         assert abs(got - phi) < 1e-12
 
     def test_power_of_two_scaling_is_free(self):
         cloud = log_spiral()
         scaled = PointCloud(4.0 * cloud.points, "scaled")
-        assert compare_cones(cloud, scaled, ConeKind.AT_INFINITY) == 0.0
+        kind = ConeKind.AT_INFINITY
+        got = angular_hausdorff(asymptotic_directions(cloud, kind), asymptotic_directions(scaled, kind))
+        assert got == 0.0
 
     def test_parallel_shifted_lines(self):
         # {(t, 1)} and {(t, 2)} limit to the same horizontal ray, but a
@@ -326,12 +306,14 @@ class TestCompareCones:
         # apart at the shell's inner edge, near 2e-3 for these samples.
         a = shifted_line()
         b = PointCloud(np.column_stack([a.points[:, 0], 2.0 * np.ones(len(a))]), "higher")
-        got = compare_cones(a, b, ConeKind.AT_INFINITY)
+        kind = ConeKind.AT_INFINITY
+        got = angular_hausdorff(asymptotic_directions(a, kind), asymptotic_directions(b, kind))
         assert 1.5e-3 < got < 2.5e-3
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(2)
         flat = PointCloud(unit_rows(rng, 12, 2), "flat")
         tall = PointCloud(unit_rows(rng, 12, 3), "tall")
+        kind = ConeKind.AT_ORIGIN
         with pytest.raises(DomainError):
-            compare_cones(flat, tall, ConeKind.AT_ORIGIN)
+            angular_hausdorff(asymptotic_directions(flat, kind), asymptotic_directions(tall, kind))

@@ -8,12 +8,11 @@ from bilip.geometry import PointCloud
 from bilip.distortion import (
     AllPairs,
     SeededRandom,
-    compare_compactified,
     estimate_bilip,
     radial_comparability,
     verify_cube_bound,
 )
-from bilip.maps import Ambient, SampledMap, SamplerConfig, invert_map, registry, sample_analytic
+from bilip.maps import SampledMap, SamplerConfig, compactify_map, invert_map, registry, sample_analytic
 
 
 def make_map(domain, codomain, **flags) -> SampledMap:
@@ -63,9 +62,9 @@ class TestEstimate:
         assert rep.bilip_constant <= f.bilip_constant + 1e-9
 
     def test_all_pairs_cap_enforced(self):
-        pts = random_cloud(5, 30, 2)
-        with pytest.raises(DomainError):
-            estimate_bilip(make_map(pts, pts, avoids_origin=True), AllPairs(cap=10))
+        pts = random_cloud(5, 2001, 2)
+        with pytest.raises(DomainError, match="2001 samples exceed the all-pairs cap 2000"):
+            estimate_bilip(make_map(pts, pts, avoids_origin=True), AllPairs())
 
     def test_coincident_pairs_skipped_and_counted(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -212,6 +211,8 @@ class TestCubeBound:
 
 
 class TestCompareCompactified:
+    """A map and its stereographic compactification, estimated side by side."""
+
     def test_identity_line(self):
         m = make_map(
             [[-1.0], [0.0], [1.0]],
@@ -219,14 +220,15 @@ class TestCompareCompactified:
             fixes_origin=True,
             unbounded_domain=True,
         )
-        original, compactified = compare_compactified(m)
+        original, compactified = estimate_bilip(m), estimate_bilip(compactify_map(m))
         assert original.bilip_constant == 1.0
         assert compactified.bilip_constant == 1.0
 
     def test_doubling_both_finite(self):
         f = registry()["scale-2"]
         cfg = SamplerConfig(count=300, r_min=0.01, r_max=100.0, seed=20, declare_unbounded=True)
-        original, compactified = compare_compactified(sample_analytic(f, cfg))
+        m = sample_analytic(f, cfg)
+        original, compactified = estimate_bilip(m), estimate_bilip(compactify_map(m))
         assert np.isfinite(original.bilip_constant)
         assert np.isfinite(compactified.bilip_constant)
 
@@ -236,7 +238,6 @@ class TestCompareCompactified:
         for t_min in (1e-2, 1e-4):
             cfg = SamplerConfig(count=300, r_min=t_min, r_max=1.0, seed=21)
             m = sample_analytic(f, cfg)
-            original, compactified = compare_compactified(m)
-            reports[t_min] = (original, compactified)
+            reports[t_min] = (estimate_bilip(m), estimate_bilip(compactify_map(m)))
         assert reports[1e-4][0].l_contract >= 2.0 * reports[1e-2][0].l_contract
         assert reports[1e-4][1].l_contract >= 2.0 * reports[1e-2][1].l_contract

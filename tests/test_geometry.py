@@ -281,10 +281,15 @@ class TestBatchContract:
         for q in (1, 2, 3, 6):
             x1 = unit_rows(rng, 50, q) * log_uniform_radii(rng, 50, 1e-3, 1e3)[:, None]
             x2 = unit_rows(rng, 50, q) * log_uniform_radii(rng, 50, 1e-3, 1e3)[:, None]
+            # a Fortran-ordered stack must give the bits of its C-ordered rows
+            f1 = np.asfortranarray(x1)
+            assert invert(f1).tolist() == [invert(row).tolist() for row in x1]
             for fn, args in (
                 (inverted_distance_residual, (x1, x2)),
+                (inverted_distance_residual, (f1, x2)),
                 (law_of_cosines_residual, (x1, x2)),
                 (inversion_derivative_norm, (x1,)),
+                (inversion_derivative_norm, (f1,)),
             ):
                 batch = fn(*args)
                 assert batch.shape == (50,)
@@ -392,28 +397,6 @@ class TestPointCloud:
             PointCloud(np.array([[np.nan, 0.0]]))
         with pytest.raises(DomainError):
             PointCloud(np.array([1.0, 2.0]))
-
-    def test_dedup_keeps_first(self):
-        cloud = PointCloud(np.array([[1.0, 0.0], [1.0 + 1e-15, 0.0], [2.0, 0.0]]))
-        thinned, kept = cloud.deduplicated()
-        assert kept.tolist() == [0, 2]
-        assert len(thinned) == 2
-
-    def test_dedup_respects_relative_threshold(self):
-        # separation 1e-10 exceeds 1e-12 * (1 + 2), so both survive
-        cloud = PointCloud(np.array([[2.0, 0.0], [2.0 + 1e-10, 0.0]]))
-        _, kept = cloud.deduplicated()
-        assert kept.tolist() == [0, 1]
-
-    def test_min_relative_separation(self):
-        cloud = PointCloud(np.array([[1.0, 0.0], [1.5, 0.0]]))
-        assert cloud.min_relative_separation() == pytest.approx(0.5 / 2.5)
-
-    def test_scaled(self):
-        cloud = PointCloud(np.array([[1.0, 2.0]]))
-        assert cloud.scaled(2.0).points.tolist() == [[2.0, 4.0]]
-        with pytest.raises(DomainError):
-            cloud.scaled(-1.0)
 
 
 def test_norms_overflow_safe():

@@ -6,12 +6,15 @@ coordinate bit for bit, not merely within a tolerance.
 
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilip.cli import main
 from bilip.errors import ParseError
 from bilip.geometry import PointCloud
 from bilip.maps import Ambient, SampledMap, compactify_map
@@ -40,6 +43,31 @@ def sample_map(unbounded=True) -> SampledMap:
     )
 
 
+TABLE_HEADERS = {"cloud": "x1,x2", "map": "x1,y1"}
+MAP_META = {
+    "q1": 1, "q2": 1, "fixes_origin": False, "avoids_origin": False,
+    "unbounded_domain": False, "ambient": "Affine",
+}
+
+
+def table_file(tmp_path, kind, rows) -> pathlib.Path:
+    """A two-column cloud or map file: its header, then ``rows``; no text at all when rows is None."""
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("" if rows is None else f"{TABLE_HEADERS[kind]}\n{rows}")
+    if kind == "map":
+        sidecar_path(path).write_text(json.dumps(MAP_META))
+    return path
+
+
+def assert_rejected(path, reason, capsys):
+    """Both the loader and the CLI reject the file with ``reason``; the CLI exits 2."""
+    load = load_map if sidecar_path(path).exists() else load_cloud
+    with pytest.raises(ParseError, match=re.escape(reason)):
+        load(path)
+    assert main(["invert", str(path), "--output", str(path.with_name("out.csv"))]) == 2
+    assert reason in capsys.readouterr().err
+
+
 class TestFloatFormat:
     def test_short_decimals_stay_short(self):
         assert format_float(0.1) == "0.1"
@@ -52,6 +80,8 @@ class TestFloatFormat:
 
 
 class TestCloud:
+    """Cloud files, and the table checks that cloud and map files share."""
+
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         cloud = PointCloud(rng.normal(size=(20, 3)) * 10.0 ** rng.uniform(-8, 8), "blob")
@@ -72,23 +102,25 @@ class TestCloud:
         with pytest.raises(ParseError):
             load_cloud(path)
 
-    def test_rejects_ragged_row(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("x1,x2\n1.0,2.0\n3.0\n")
-        with pytest.raises(ParseError):
-            load_cloud(path)
+    def test_rejects_ragged_row(self, tmp_path, capsys):
+        for kind in TABLE_HEADERS:
+            path = table_file(tmp_path, kind, "1.0,2.0\n3.0\n")
+            assert_rejected(path, f"{path}:3 has 1 fields, expected 2", capsys)
 
-    def test_rejects_bad_float(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("x1,x2\n1.0,two\n")
-        with pytest.raises(ParseError):
-            load_cloud(path)
+    def test_rejects_bad_float(self, tmp_path, capsys):
+        for kind in TABLE_HEADERS:
+            path = table_file(tmp_path, kind, "1.0,two\n")
+            assert_rejected(path, f"bad float 'two' in {path}:2", capsys)
 
-    def test_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("")
-        with pytest.raises(ParseError):
-            load_cloud(path)
+    def test_rejects_empty_file(self, tmp_path, capsys):
+        for kind in TABLE_HEADERS:
+            path = table_file(tmp_path, kind, None)
+            assert_rejected(path, f"{path} is empty", capsys)
+
+    def test_rejects_header_only(self, tmp_path, capsys):
+        for kind in TABLE_HEADERS:
+            path = table_file(tmp_path, kind, "")
+            assert_rejected(path, f"{path} holds no points", capsys)
 
 
 class TestMap:
