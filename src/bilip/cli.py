@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=("all",) + verify.SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=2000, help="pair count for the identity sweeps")
+    p.add_argument("--pairs", type=int, default=None,
+                   help="pair count for the identity sweeps (default 2000)")
     p.add_argument("--tolerance", type=float, default=None, help="override the residual gate")
     p.add_argument("--renormalize-beta", action="store_true",
                    help="gate the renormalized near-pole chart instead of only reporting it")
@@ -238,12 +239,18 @@ def cmd_cones(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.suite not in ("all", "identities"):
+        for option, given in (("--pairs", args.pairs is not None),
+                              ("--renormalize-beta", args.renormalize_beta)):
+            if given:
+                raise DomainError(f"{option} applies only to the identities suite, not to {args.suite}")
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     suites = []
     for name in names:
         kwargs = {}
         if name == "identities":
-            kwargs["pairs"] = args.pairs
+            if args.pairs is not None:
+                kwargs["pairs"] = args.pairs
             kwargs["gate_renormalized_chart"] = args.renormalize_beta
             if args.tolerance is not None:
                 kwargs["tolerance"] = args.tolerance

@@ -9,6 +9,7 @@ flag metadata the CSV cannot hold.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import pathlib
 
@@ -60,7 +61,8 @@ def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
     """The float rows of a headed CSV table, shape (n, number of header fields).
 
     ``header_error(header)`` returns why the header is unacceptable, or
-    None.  Every row must carry exactly as many fields as the header.
+    None.  Every row must carry exactly as many fields as the header, and
+    every field a finite float.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -83,7 +85,16 @@ def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
                 rows.append([_parse_float(v, f"{path}:{lineno}") for v in row])
     if not rows:
         raise ParseError(f"{path} holds no points")
-    return np.asarray(rows, dtype=np.float64)
+    table = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(table).all():
+        # float() takes nan and inf; one vectorised check keeps the rows
+        # free of a per-value test, and only a failure re-reads the file
+        # to name the line and the token as written
+        index, column = np.argwhere(~np.isfinite(table))[0]
+        with open(path, newline="") as fh:
+            row = next(itertools.islice(csv.reader(fh), index + 1, None))
+        raise ParseError(f"non-finite value {row[column]!r} in {path}:{index + 2}")
+    return table
 
 
 def save_cloud(cloud: PointCloud, path) -> None:

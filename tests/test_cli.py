@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import bilip
+from bilip.cli import main
 from bilip.serialize import load_cloud, load_map
 from cli_runner import run_cli, run_python
 
@@ -23,6 +24,17 @@ def test_children_import_the_tested_bilip(tmp_path):
     out = run_python("-c", "import bilip; print(bilip.__file__)", cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert pathlib.Path(out.stdout.strip()) == pathlib.Path(bilip.__file__).resolve()
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # every command pays its import; scipy alone would add more than bilip.cli costs
+    out = run_python(
+        "-c",
+        "import sys, bilip.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def make_scaling(tmp_path, factor="2", n="40", name="scale.csv"):
@@ -211,6 +223,24 @@ class TestVerifyCommand:
         assert out.returncode == 2
         assert "identity sweeps need pairs >= 1, got 0" in out.stderr
         assert out.stdout == ""
+
+    def test_identity_options_rejected_for_other_suites(self, tmp_path, capsys):
+        out = run_cli("verify", "cube-bound", "--pairs", "0", cwd=tmp_path)
+        assert out.returncode == 2
+        assert "usage error: --pairs applies only to the identities suite, not to cube-bound" in out.stderr
+        assert out.stdout == ""
+        for suite in ("cube-bound", "compactify-iff", "cone-exchange"):
+            for option in (["--pairs", "100"], ["--renormalize-beta"]):
+                assert main(["verify", suite, *option]) == 2
+                captured = capsys.readouterr()
+                assert f"{option[0]} applies only to the identities suite, not to {suite}" in captured.err
+                assert captured.out == ""
+
+    def test_default_identity_pairs_is_2000(self, capsys):
+        assert main(["verify", "identities"]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", "identities", "--pairs", "2000"]) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestDeterminism:

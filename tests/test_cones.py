@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilip import cones
 from bilip.cones import (
     ConeKind,
     DirectionSet,
@@ -54,7 +55,82 @@ def ray_cloud(u: np.ndarray, count: int = 120) -> PointCloud:
     return PointCloud(r[:, None] * u[None, :], "ray")
 
 
+def angles_of_nearest(nearest_sq) -> float:
+    """The kernel's last step: the largest angle among the nearest squared chords."""
+    chords = np.minimum(np.sqrt(np.asarray(nearest_sq)), 2.0)
+    return float(np.max(2.0 * np.arcsin(chords / 2.0)))
+
+
+def per_pair_hausdorff(a: DirectionSet, b: DirectionSet) -> float:
+    """Reference: each squared chord on its own, coordinates summed in index order."""
+    u, v = a.directions.tolist(), b.directions.tolist()
+    d2 = []
+    for x in u:
+        row = []
+        for y in v:
+            total = 0.0
+            for xk, yk in zip(x, y):
+                total += (xk - yk) * (xk - yk)
+            row.append(total)
+        d2.append(row)
+    return angles_of_nearest([min(row) for row in d2] + [min(col) for col in zip(*d2)])
+
+
+def einsum_hausdorff(a: DirectionSet, b: DirectionSet) -> float:
+    """Reference: the earlier form, one einsum over the difference block per direction."""
+
+    def directed(u, v):
+        diff = u[:, None, :] - v[None, :, :]
+        return angles_of_nearest(np.einsum("ijk,ijk->ij", diff, diff).min(axis=1))
+
+    return max(directed(a.directions, b.directions), directed(b.directions, a.directions))
+
+
+def laid_out(rows: np.ndarray, layout: str) -> np.ndarray:
+    if layout == "F":
+        return np.asfortranarray(rows)
+    if layout == "strided":
+        spaced = np.zeros((2 * len(rows), 2 * rows.shape[1]))
+        spaced[::2, ::2] = rows
+        return spaced[::2, ::2]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 6),
+    n_a=st.integers(1, 300),
+    n_b=st.integers(1, 300),
+    layout=st.sampled_from(("C", "F", "strided")),
+)
+def test_hausdorff_kernel_matches_per_pair_reference(seed, q, n_a, n_b, layout):
+    rng = np.random.default_rng(seed)
+    a_rows, b_rows = unit_rows(rng, n_a, q), unit_rows(rng, n_b, q)
+    # duplicates inside a set, and copies and antipodes across the sets
+    a_rows[rng.integers(0, n_a, n_a // 3)] = a_rows[rng.integers(0, n_a, n_a // 3)]
+    shared = rng.integers(0, min(n_a, n_b) + 1)
+    b_rows[:shared] = a_rows[rng.integers(0, n_a, shared)] * rng.choice([-1.0, 1.0], (shared, 1))
+    a = direction_set(laid_out(a_rows, layout))
+    b = direction_set(laid_out(b_rows, layout))
+    got = angular_hausdorff(a, b)
+    assert got == per_pair_hausdorff(a, b)
+    assert angular_hausdorff(b, a) == got
+    if q <= 2:
+        assert got == einsum_hausdorff(a, b)
+
+
 class TestAngularHausdorff:
+    def test_one_row_blocks(self, monkeypatch):
+        # more than 2**16 directions on the column side: every block is one row
+        monkeypatch.setattr(cones, "MAX_DIRECTIONS", 2**17)
+        rng = np.random.default_rng(5)
+        a = direction_set(unit_rows(rng, 3, 3))
+        b = direction_set(np.vstack([unit_rows(rng, 2**16 + 2, 3), -a.directions]))
+        got = angular_hausdorff(a, b)
+        assert got == per_pair_hausdorff(a, b)
+        assert angular_hausdorff(b, a) == got
+
     def test_perpendicular_singletons(self):
         a = direction_set([[1.0, 0.0]])
         b = direction_set([[0.0, 1.0]])
@@ -73,9 +149,16 @@ class TestAngularHausdorff:
         assert angular_hausdorff(a, a) == 0.0
 
     def test_opposite_directions_half_circle(self):
-        a = direction_set([[1.0, 0.0, 0.0]])
-        b = direction_set([[-1.0, 0.0, 0.0]])
-        assert abs(angular_hausdorff(a, b) - math.pi) < 1e-12
+        # exactly pi: an antipodal chord of exactly unit vectors is exactly 2
+        for q in range(1, 7):
+            axes = np.vstack([np.eye(q), -np.eye(q)])
+            for k in range(q):
+                a, b = direction_set(axes[k : k + 1]), direction_set(axes[q + k : q + k + 1])
+                assert angular_hausdorff(a, b) == math.pi
+                # -e_k among the signed axes lies a half turn from e_k
+                assert angular_hausdorff(direction_set(axes), a) == math.pi
+        half = np.full((1, 4), 0.5)
+        assert angular_hausdorff(direction_set(half), direction_set(-half)) == math.pi
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(11)

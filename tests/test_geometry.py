@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilip.errors import DomainError, OriginError, PoleError
 from bilip.geometry import (
     _LARGE_RADIUS,
     ORIGIN_EPSILON,
+    POLE_EPSILON,
     PointCloud,
     inversion_derivative_norm,
     invert,
@@ -362,6 +363,47 @@ def test_identities_at_extreme_radii(seed: int, q: int, decade_1: int, decade_2:
             batch = residual(x1, x2)
             assert batch.tolist() == [residual(a, b) for a, b in zip(x1, x2)]
             assert np.all(batch <= 1e-10), residual.__name__
+
+
+# the embedding of a point of radius r sits 2 / (1 + r^2) below the pole
+# in its last coordinate, so projection refuses radii from about here on
+_POLE_RADIUS = np.sqrt(2.0 / POLE_EPSILON - 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.integers(1, 6),
+    decade=st.integers(_LOG_RADIUS_LO, _LOG_RADIUS_HI - 1),
+)
+@example(seed=0, q=3, decade=int(np.log10(_POLE_RADIUS)))  # the decade holding the pole edge
+def test_sphere_round_trip_at_extreme_radii(seed: int, q: int, decade: int) -> None:
+    rng = np.random.default_rng(seed)
+    n = 8
+    radii = 10.0 ** (decade + rng.uniform(size=n))
+    x = unit_rows(rng, n, q) * radii[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        embedded = stereo_embed(x)
+        for row, point, radius in zip(x, embedded, radii):
+            if radius > _POLE_RADIUS * (1.0 + 1e-6):
+                with pytest.raises(PoleError):
+                    stereo_project(point)
+                continue
+            try:
+                back = stereo_project(point)
+            except PoleError:
+                assert radius >= _POLE_RADIUS * (1.0 - 1e-6)  # only at the edge
+                continue
+            assert np.all(np.isfinite(back))
+            # coordinate maxima, not norms: squares underflow at 1e-299
+            assert np.max(np.abs(back - row)) <= 1e-10 * np.max(np.abs(row))
+        far = radii < _POLE_RADIUS * (1.0 - 1e-6)
+        if np.all(far):
+            assert stereo_project(embedded).tolist() == [stereo_project(p).tolist() for p in embedded]
+        elif np.any(radii > _POLE_RADIUS * (1.0 + 1e-6)):
+            with pytest.raises(PoleError):
+                stereo_project(embedded)
 
 
 @settings(max_examples=50, deadline=None)

@@ -112,6 +112,13 @@ class TestCloud:
             path = table_file(tmp_path, kind, "1.0,two\n")
             assert_rejected(path, f"bad float 'two' in {path}:2", capsys)
 
+    def test_rejects_non_finite_tokens(self, tmp_path, capsys):
+        # float() parses these; the reader must still refuse them, at their line
+        for token in ("nan", "-inf", "Infinity", "1e400"):
+            for kind in TABLE_HEADERS:
+                path = table_file(tmp_path, kind, f"1.0,2.0\n3.0,4.0\n5.0,{token}\n{token},6.0\n")
+                assert_rejected(path, f"non-finite value {token!r} in {path}:4", capsys)
+
     def test_rejects_empty_file(self, tmp_path, capsys):
         for kind in TABLE_HEADERS:
             path = table_file(tmp_path, kind, None)
