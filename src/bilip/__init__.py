@@ -7,8 +7,7 @@ The submodules split along what they act on:
   sphere embedding, pole charts, separation bounds).
 * ``maps``: sampled and closed-form maps, the origin hypothesis,
   conjugation by inversion, compactification, the example registry.
-* ``distortion``: empirical bi-Lipschitz constants and the cubed-bound
-  check for inverted maps.
+* ``distortion``: empirical bi-Lipschitz constants and radial ratios.
 * ``cones``: asymptotic directions, links, and the exchange of the
   two direction sets under inversion.
 * ``serialize``: CSV/JSON persistence with exact float round trips.
@@ -31,13 +30,11 @@ from .cones import (
 )
 from .distortion import (
     AllPairs,
-    CubeBoundResult,
     DistortionReport,
     RadialReport,
     SeededRandom,
     estimate_bilip,
     radial_comparability,
-    verify_cube_bound,
 )
 from .errors import (
     BilipError,
@@ -87,7 +84,6 @@ __all__ = [
     "AnalyticMap",
     "BilipError",
     "ConeKind",
-    "CubeBoundResult",
     "DegenerateMap",
     "DirectionSet",
     "DistortionReport",
@@ -135,5 +131,4 @@ __all__ = [
     "stereo_project",
     "validate_origin_hypothesis",
     "verify_cone_exchange",
-    "verify_cube_bound",
 ]

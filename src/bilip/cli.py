@@ -247,15 +247,11 @@ def cmd_verify(args) -> tuple[dict, int]:
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     suites = []
     for name in names:
-        kwargs = {}
+        kwargs = {} if args.tolerance is None else {"tolerance": args.tolerance}
         if name == "identities":
             if args.pairs is not None:
                 kwargs["pairs"] = args.pairs
             kwargs["gate_renormalized_chart"] = args.renormalize_beta
-            if args.tolerance is not None:
-                kwargs["tolerance"] = args.tolerance
-        elif args.tolerance is not None and name in ("cube-bound", "compactify-iff", "cone-exchange"):
-            kwargs["tolerance"] = args.tolerance
         suites.append(verify.run_suite(name, seed=args.seed, **kwargs))
     passed = all(s["passed"] for s in suites)
     payload = {"command": "verify", "passed": passed, "suites": suites}
@@ -290,16 +286,10 @@ def cmd_generate(args) -> tuple[dict, int]:
         if args.scale_factor is None:
             raise ParseError("generate scaling needs --lambda")
         f = scaling_analytic(args.scale_factor, dim=args.dim)
-        config = SamplerConfig(
-            count=args.n, r_min=lo, r_max=hi, seed=args.seed,
-            include_origin=True, declare_unbounded=True, singular_probes=True,
-        )
-        m = sample_analytic(f, config)
-    elif name == "non-example":
-        m = fixtures.map_samples("radial-square", count=args.n, seed=args.seed,
-                                 r_min=lo, r_max=hi)
+        m = sample_analytic(f, SamplerConfig(args.n, lo, hi, args.seed))
     else:
-        m = fixtures.map_samples(name, count=args.n, seed=args.seed, r_min=lo, r_max=hi)
+        member = "radial-square" if name == "non-example" else name
+        m = fixtures.map_samples(member, count=args.n, seed=args.seed, r_min=lo, r_max=hi)
     save_map(m, args.output)
     return {
         "command": "generate",

@@ -15,7 +15,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import DegenerateMap, DomainError
-from .maps import AnalyticMap, SampledMap, SamplerConfig, invert_map, sample_analytic
+from .maps import SampledMap
 
 COINCIDENCE_EPSILON = 1e-12  # relative; closer domain pairs are skipped
 ALL_PAIRS_CAP = 2000  # keeps all-pairs runs under a second; larger n uses SeededRandom
@@ -64,12 +64,6 @@ class RadialReport(NamedTuple):
     max_ratio: float
     min_ratio: float
     points: int
-
-
-class CubeBoundResult(NamedTuple):
-    report_inv: DistortionReport
-    bound: float
-    holds: bool
 
 
 def _pair_indices(n: int, strategy: PairStrategy) -> tuple[np.ndarray, np.ndarray]:
@@ -156,23 +150,3 @@ def radial_comparability(m: SampledMap) -> RadialReport:
     ratio = cod_r[usable] / dom_r[usable]
     return RadialReport(float(ratio.max()), float(ratio.min()), int(usable.sum()))
 
-
-def verify_cube_bound(
-    f: AnalyticMap, sampler: SamplerConfig, strategy: PairStrategy = AllPairs()
-) -> CubeBoundResult:
-    """Check the inverted map's constant against the cube of the known one.
-
-    Samples f, conjugates by inversion, estimates the constant, and
-    compares against A^3 + 1e-6.  For a genuinely bi-Lipschitz f fixing
-    the origin the bound always holds: the empirical constant
-    underestimates the true constant of the inverted map, which the
-    derivative bound caps at A^3.
-    """
-    if f.bilip_constant is None:
-        raise DomainError(f"{f.name} has no known constant")
-    if not f.fixes_origin:
-        raise DomainError("cube bound applies to origin-fixing maps")
-    m = sample_analytic(f, sampler)
-    report = estimate_bilip(invert_map(m), strategy)
-    bound = float(f.bilip_constant**3)
-    return CubeBoundResult(report, bound, report.bilip_constant <= bound + 1e-6)

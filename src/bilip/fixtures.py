@@ -64,7 +64,7 @@ def cloud(kind: str, dim: int = 2, count: int = 100, seed: int = 0,
 
 def map_samples(name: str, count: int = 200, seed: int = 0,
                 r_min: float = 1e-2, r_max: float = 1e2) -> SampledMap:
-    """Sample a registry map with flags matching its actual domain.
+    """Sample a registry map; its domain decides the origin pair and unboundedness.
 
     Full-space members are declared unbounded and keep their origin
     pair; shell members come out avoiding the origin.
@@ -72,14 +72,4 @@ def map_samples(name: str, count: int = 200, seed: int = 0,
     family = registry()
     if name not in family:
         raise DomainError(f"unknown registry map {name!r}; try one of {sorted(family)}")
-    f = family[name]
-    config = SamplerConfig(
-        count=count,
-        r_min=r_min,
-        r_max=r_max,
-        seed=seed,
-        include_origin=f.fixes_origin and f.domain_radii[0] == 0.0,
-        declare_unbounded=math.isinf(f.domain_radii[1]),
-        singular_probes=True,
-    )
-    return sample_analytic(f, config)
+    return sample_analytic(family[name], SamplerConfig(count, r_min, r_max, seed))

@@ -131,8 +131,7 @@ def stereo_project(p) -> np.ndarray:
     if pts.shape[1] < 2:
         raise DomainError("sphere points need at least two coordinates")
     r = np.asarray(norms(pts))
-    if np.any(np.abs(r - 1.0) > SPHERE_TOLERANCE):
-        raise DomainError("point is not on the unit sphere")
+    _reject_rows(np.abs(r - 1.0) > SPHERE_TOLERANCE, DomainError, "point is not on the unit sphere", single)
     first = pts[:, :-1]
     t = pts[:, -1]
     gap = 1.0 - t
@@ -140,8 +139,7 @@ def stereo_project(p) -> np.ndarray:
     if np.any(north):
         fn = first[north]
         gap[north] = np.einsum("ij,ij->i", fn, fn) / (1.0 + t[north])
-    if np.any(gap <= POLE_EPSILON):
-        raise PoleError("projection is undefined at the north pole")
+    _reject_rows(gap <= POLE_EPSILON, PoleError, "projection is undefined at the north pole", single)
     out = first / gap[:, None]
     return out[0] if single else out
 

@@ -224,8 +224,8 @@ class AnalyticMap:
     ``bilip_constant`` is the true bi-Lipschitz constant on
     ``domain_radii`` when known, None otherwise; ``bilipschitz`` is
     False for deliberate non-examples.  ``singular_dirs`` are unit
-    directions attaining the extremal ratios (when known), used for
-    direction-stratified sampling.
+    directions attaining the extremal ratios (when known), along which
+    ``sample_analytic`` adds probe rows.
     """
 
     name: str
@@ -241,22 +241,12 @@ class AnalyticMap:
 
 @dataclasses.dataclass(frozen=True)
 class SamplerConfig:
-    """Deterministic sampling plan: log-uniform radii, uniform directions.
-
-    ``include_origin`` appends the (0, 0) pair for origin-fixing maps;
-    ``declare_unbounded`` marks the sampled map's underlying domain as
-    unbounded (an explicit declaration, never inferred);
-    ``singular_probes`` appends +/- singular-direction rows so linear
-    maps attain their extremal ratios exactly.
-    """
+    """Deterministic sampling plan: log-uniform radii, uniform directions."""
 
     count: int
     r_min: float
     r_max: float
     seed: int = 0
-    include_origin: bool = False
-    declare_unbounded: bool = False
-    singular_probes: bool = False
 
     def __post_init__(self) -> None:
         if self.count < 2:
@@ -279,7 +269,11 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
     """Sample an analytic map into a SampledMap, deterministically.
 
     Radii are log-uniform on [r_min, r_max] intersected with the map's
-    own radial domain; directions are uniform on the sphere.  The same
+    own radial domain; directions are uniform on the sphere.  The map,
+    not the config, decides the rest: +/- rows along each singular
+    direction (so linear maps attain their extremal ratios exactly),
+    the (0, 0) pair when f fixes an origin inside its domain, and
+    ``unbounded_domain`` when the domain has no outer radius.  The same
     seed and config reproduce the clouds bit for bit.
     """
     lo = max(config.r_min, f.domain_radii[0])
@@ -292,14 +286,14 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
     dirs = _unit_directions(rng, config.count, f.dim_in)
     radii = np.exp(rng.uniform(np.log(lo), np.log(hi), size=config.count))
     dom = dirs * radii[:, None]
-    if config.singular_probes and f.singular_dirs:
+    if f.singular_dirs:
         probe_r = float(np.sqrt(lo * hi))
         probes = []
         for u in f.singular_dirs:
             probes.append(probe_r * np.asarray(u, dtype=np.float64))
             probes.append(-probe_r * np.asarray(u, dtype=np.float64))
         dom = np.vstack([dom, np.array(probes)])
-    with_origin = config.include_origin and f.fixes_origin
+    with_origin = f.fixes_origin and f.domain_radii[0] == 0.0
     if with_origin:
         dom = np.vstack([dom, np.zeros(f.dim_in)])
     cod = np.asarray(f.func(dom), dtype=np.float64)
@@ -313,7 +307,7 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
         codomain=PointCloud(cod, f"{f.name} image"),
         fixes_origin=with_origin,
         avoids_origin=bool(avoids),
-        unbounded_domain=config.declare_unbounded,
+        unbounded_domain=bool(np.isinf(f.domain_radii[1])),
         ambient=Ambient.AFFINE,
     )
 

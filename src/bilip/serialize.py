@@ -8,8 +8,6 @@ flag metadata the CSV cannot hold.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import json
 import pathlib
 
@@ -44,17 +42,22 @@ def _map_header(q1: int, q2: int) -> list[str]:
     return [f"x{i}" for i in range(1, q1 + 1)] + [f"y{i}" for i in range(1, q2 + 1)]
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of one file line: plain comma-separated text, no quoting; a blank line has none."""
+    line = line.rstrip("\r\n")
+    return line.split(",") if line else []
+
+
 def _write_table(path, header: list[str], *blocks: np.ndarray) -> None:
-    """Write ``header``, then one CSV line per row index: that row of every block.
+    """Write ``header``, then one CRLF-ended line per row index: that row of every block.
 
     Rows are formatted and written one at a time; no text copy of the
     whole table is built.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for parts in zip(*blocks):
-            writer.writerow([format_float(v) for part in parts for v in part.tolist()])
+            fh.write(",".join([format_float(v) for part in parts for v in part.tolist()]) + "\r\n")
 
 
 def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
@@ -62,20 +65,21 @@ def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
 
     ``header_error(header)`` returns why the header is unacceptable, or
     None.  Every row must carry exactly as many fields as the header, and
-    every field a finite float.
+    every field a finite float.  Each row is one line of the file, so the
+    table's row k sits on line k + 2.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path} is empty") from None
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path} is empty")
+        header = _fields(first)
         problem = header_error(header)
         if problem is not None:
             raise ParseError(f"{path} {problem}")
         q = len(header)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, line in enumerate(fh, start=2):
+            row = _fields(line)
             if len(row) != q:
                 raise ParseError(f"{path}:{lineno} has {len(row)} fields, expected {q}")
             try:
@@ -91,8 +95,8 @@ def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
         # free of a per-value test, and only a failure re-reads the file
         # to name the line and the token as written
         index, column = np.argwhere(~np.isfinite(table))[0]
-        with open(path, newline="") as fh:
-            row = next(itertools.islice(csv.reader(fh), index + 1, None))
+        with open(path) as fh:
+            row = _fields(fh.readlines()[index + 1])
         raise ParseError(f"non-finite value {row[column]!r} in {path}:{index + 2}")
     return table
 

@@ -261,6 +261,14 @@ class TestDeterminism:
         b_meta = (tmp_path / "b.csv.meta.json").read_bytes()
         assert a_meta == b_meta
 
+    def test_scaling_fixture_is_the_registry_member(self, tmp_path):
+        # the map, not the command, decides the origin pair, probes and unboundedness
+        seeded = ("--n", "60", "--seed", "5")
+        assert run_cli("generate", "scaling", "--lambda", "2", *seeded, "--output", "a.csv", cwd=tmp_path).returncode == 0
+        assert run_cli("generate", "scale-2", *seeded, "--output", "b.csv", cwd=tmp_path).returncode == 0
+        for suffix in ("", ".meta.json"):
+            assert (tmp_path / f"a.csv{suffix}").read_bytes() == (tmp_path / f"b.csv{suffix}").read_bytes()
+
 
 class TestUsageErrors:
     def test_unknown_fixture_exits_2(self, tmp_path):

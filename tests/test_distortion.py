@@ -5,13 +5,7 @@ import pytest
 
 from bilip.errors import DegenerateMap, DomainError
 from bilip.geometry import PointCloud
-from bilip.distortion import (
-    AllPairs,
-    SeededRandom,
-    estimate_bilip,
-    radial_comparability,
-    verify_cube_bound,
-)
+from bilip.distortion import AllPairs, SeededRandom, estimate_bilip, radial_comparability
 from bilip.maps import SampledMap, SamplerConfig, compactify_map, invert_map, registry, sample_analytic
 
 
@@ -54,7 +48,7 @@ class TestEstimate:
 
     def test_shear_attains_constant_with_probes(self):
         f = registry()["shear"]
-        cfg = SamplerConfig(count=1996, r_min=0.1, r_max=10.0, seed=4, singular_probes=True)
+        cfg = SamplerConfig(count=1995, r_min=0.1, r_max=10.0, seed=4)  # + 4 probes + origin
         m = sample_analytic(f, cfg)
         rep = estimate_bilip(m, AllPairs())
         assert m.n_pairs == 2000
@@ -145,7 +139,7 @@ class TestProperties:
         reg = registry()
         for name in ("diag-1-3", "shear"):
             f = reg[name]
-            cfg = SamplerConfig(count=1996, r_min=0.1, r_max=10.0, seed=12, singular_probes=True)
+            cfg = SamplerConfig(count=1995, r_min=0.1, r_max=10.0, seed=12)
             rep = estimate_bilip(sample_analytic(f, cfg), AllPairs())
             assert rep.bilip_constant == pytest.approx(f.bilip_constant, rel=0.02), name
             assert rep.bilip_constant <= f.bilip_constant + 1e-9, name
@@ -179,35 +173,29 @@ class TestRadial:
 
 
 class TestCubeBound:
+    """Inversion keeps a bi-Lipschitz map fixing 0 under the cube of its constant."""
+
+    @staticmethod
+    def inverted(name, cfg):
+        """(constant of the inverted sample, cube of the map's known constant)."""
+        f = registry()[name]
+        return estimate_bilip(invert_map(sample_analytic(f, cfg))).bilip_constant, f.bilip_constant**3
+
     def test_doubling(self):
-        reg = registry()
-        cfg = SamplerConfig(count=200, r_min=0.1, r_max=10.0, seed=16, declare_unbounded=True, include_origin=True)
-        result = verify_cube_bound(reg["scale-2"], cfg)
-        assert result.bound == 8.0
-        assert result.report_inv.bilip_constant == pytest.approx(2.0, rel=1e-12)
-        assert result.holds
+        constant, bound = self.inverted("scale-2", SamplerConfig(count=200, r_min=0.1, r_max=10.0, seed=16))
+        assert bound == 8.0
+        assert constant == pytest.approx(2.0, rel=1e-12)
+        assert constant <= bound + 1e-6
 
     def test_identity(self):
-        reg = registry()
-        cfg = SamplerConfig(count=200, r_min=0.1, r_max=10.0, seed=17)
-        result = verify_cube_bound(reg["identity"], cfg)
-        assert result.report_inv.bilip_constant == 1.0
-        assert result.holds
+        constant, bound = self.inverted("identity", SamplerConfig(count=200, r_min=0.1, r_max=10.0, seed=17))
+        assert constant == 1.0
+        assert constant <= bound + 1e-6
 
     def test_diag_bound(self):
-        reg = registry()
-        cfg = SamplerConfig(count=400, r_min=0.1, r_max=10.0, seed=18, singular_probes=True)
-        result = verify_cube_bound(reg["diag-1-3"], cfg)
-        assert result.bound == 27.0
-        assert result.holds
-
-    def test_requires_known_origin_fixing_map(self):
-        reg = registry()
-        cfg = SamplerConfig(count=50, r_min=1.0, r_max=2.0, seed=19)
-        with pytest.raises(DomainError):
-            verify_cube_bound(reg["radial-square"], cfg)
-        with pytest.raises(DomainError):
-            verify_cube_bound(reg["radial-shell-1.25"], cfg)
+        constant, bound = self.inverted("diag-1-3", SamplerConfig(count=400, r_min=0.1, r_max=10.0, seed=18))
+        assert bound == 27.0
+        assert constant <= bound + 1e-6
 
 
 class TestCompareCompactified:
@@ -226,7 +214,7 @@ class TestCompareCompactified:
 
     def test_doubling_both_finite(self):
         f = registry()["scale-2"]
-        cfg = SamplerConfig(count=300, r_min=0.01, r_max=100.0, seed=20, declare_unbounded=True)
+        cfg = SamplerConfig(count=300, r_min=0.01, r_max=100.0, seed=20)
         m = sample_analytic(f, cfg)
         original, compactified = estimate_bilip(m), estimate_bilip(compactify_map(m))
         assert np.isfinite(original.bilip_constant)

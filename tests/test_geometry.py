@@ -117,6 +117,20 @@ class TestStereo:
         with pytest.raises(DomainError):
             stereo_project([0.5, 0.5])
 
+    def test_bad_row_of_a_stack_is_named(self):
+        good = stereo_embed(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]]))
+        off = good.copy()
+        off[2] = [0.5, 0.5, 0.5]
+        pole = good.copy()
+        pole[1] = [0.0, 0.0, 1.0]
+        with pytest.raises(DomainError, match=r"not on the unit sphere \(row 2\)"):
+            stereo_project(off)
+        with pytest.raises(PoleError, match=r"north pole \(row 1\)"):
+            stereo_project(pole)
+        # a single point keeps the bare message
+        with pytest.raises(PoleError, match=r"north pole$"):
+            stereo_project(pole[1])
+
     def test_huge_radius_membership(self):
         p = stereo_embed([1e200, 0.0])
         assert abs(float(np.asarray(norms(p))) - 1.0) <= 1e-12

@@ -248,7 +248,7 @@ class TestSampler:
     def test_identity_pairs(self):
         reg = registry()
         m = sample_analytic(reg["identity"], SamplerConfig(count=100, r_min=0.1, r_max=10.0, seed=7))
-        assert m.n_pairs == 100
+        assert m.n_pairs == 101  # 100 draws + the origin pair
         assert m.domain.points == pytest.approx(m.codomain.points)
 
     def test_determinism(self):
@@ -262,7 +262,8 @@ class TestSampler:
     def test_radius_range_and_distribution(self):
         f = scaling_analytic(2.0)
         m = sample_analytic(f, SamplerConfig(count=2000, r_min=0.01, r_max=100.0, seed=5))
-        r = m.domain.radii()
+        assert m.origin_index() == 2000
+        r = m.domain.radii()[:2000]
         assert r.min() >= 0.01 and r.max() <= 100.0
         # log-uniform: the median log-radius sits near the middle
         mid = np.median(np.log(r))
@@ -282,18 +283,46 @@ class TestSampler:
             sample_analytic(shell, SamplerConfig(count=10, r_min=5.0, r_max=9.0, seed=0))
 
     def test_origin_pair_included_on_request(self):
+        # the map asks for the pair: it fixes the origin and its domain starts at 0
         f = scaling_analytic(2.0)
-        cfg = SamplerConfig(count=10, r_min=0.1, r_max=1.0, seed=1, include_origin=True)
-        m = sample_analytic(f, cfg)
+        m = sample_analytic(f, SamplerConfig(count=10, r_min=0.1, r_max=1.0, seed=1))
         assert m.fixes_origin
         assert m.origin_index() == 10
+        assert np.array_equal(m.codomain.points[10], np.zeros(2))
 
     def test_singular_probes_appended(self):
         reg = registry()
         f = reg["diag-1-3"]
-        cfg = SamplerConfig(count=10, r_min=1.0, r_max=1.0, seed=1, singular_probes=True)
-        m = sample_analytic(f, cfg)
-        assert m.n_pairs == 14  # 10 draws + 2 directions * 2 signs
+        m = sample_analytic(f, SamplerConfig(count=10, r_min=1.0, r_max=1.0, seed=1))
+        assert m.n_pairs == 15  # 10 draws + 2 directions * 2 signs + the origin pair
+        expected = []
+        for u in f.singular_dirs:
+            expected.append(np.asarray(u, dtype=np.float64))
+            expected.append(-np.asarray(u, dtype=np.float64))
+        assert np.allclose(m.domain.points[10:14], np.array(expected), rtol=0, atol=1e-15)
+
+    # per member: (singular probe rows, origin pair, unbounded domain)
+    POLICY = {
+        "identity": (0, True, True),
+        "scale-0.5": (0, True, True),
+        "scale-2": (0, True, True),
+        "scale-10": (0, True, True),
+        "diag-1-3": (4, True, True),  # 2 singular directions * 2 signs
+        "shear": (4, True, True),
+        "radial-shell-1": (0, False, False),
+        "radial-shell-1.25": (0, False, False),
+        "radial-square": (0, True, False),  # [0, 1] holds the origin but is bounded
+    }
+
+    def test_each_member_decides_its_own_policy(self):
+        reg = registry()
+        assert set(reg) == set(self.POLICY)
+        for name, (probes, origin, unbounded) in self.POLICY.items():
+            m = sample_analytic(reg[name], SamplerConfig(count=10, r_min=1.0, r_max=1.5, seed=1))
+            assert m.n_pairs == 10 + probes + origin, name
+            assert m.origin_index() == (10 + probes if origin else None), name
+            assert m.fixes_origin == origin and m.avoids_origin == (not origin), name
+            assert m.unbounded_domain == unbounded, name
 
     def test_sandwich_against_constant(self):
         reg = registry()

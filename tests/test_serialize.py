@@ -112,6 +112,15 @@ class TestCloud:
             path = table_file(tmp_path, kind, "1.0,two\n")
             assert_rejected(path, f"bad float 'two' in {path}:2", capsys)
 
+    def test_rejects_quoted_field_at_its_own_line(self, tmp_path, capsys):
+        # rows are plain comma-separated floats: a quote is a bad token, and a
+        # quoted line break does not join two lines into one row
+        for kind in TABLE_HEADERS:
+            path = table_file(tmp_path, kind, '1.0,2.0\n"3.0",4.0\n')
+            assert_rejected(path, f"bad float '\"3.0\"' in {path}:3", capsys)
+            path = table_file(tmp_path, kind, '"1.0\n",2.0\n5.0,6.0\n')
+            assert_rejected(path, f"{path}:2 has 1 fields, expected 2", capsys)
+
     def test_rejects_non_finite_tokens(self, tmp_path, capsys):
         # float() parses these; the reader must still refuse them, at their line
         for token in ("nan", "-inf", "Infinity", "1e400"):
