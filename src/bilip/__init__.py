@@ -22,7 +22,6 @@ from .cones import (
     DirectionSet,
     ExchangeResiduals,
     LinkSlice,
-    ShellConfig,
     angular_hausdorff,
     asymptotic_directions,
     link,
@@ -102,7 +101,6 @@ __all__ = [
     "SamplerConfig",
     "SeededRandom",
     "SeparationBounds",
-    "ShellConfig",
     "angular_hausdorff",
     "asymptotic_directions",
     "compactify_map",

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import fixtures, verify
-from .cones import ConeKind, ShellConfig, asymptotic_directions, link, verify_cone_exchange
+from .cones import ConeKind, asymptotic_directions, link, verify_cone_exchange
 from .distortion import DEFAULT_RANDOM_PAIRS, AllPairs, SeededRandom, estimate_bilip
 from .errors import (
     BilipError,
@@ -39,6 +39,13 @@ from .serialize import dumps_report, load_cloud, load_map, save_cloud, save_map,
 USAGE_EXIT = 2
 HYPOTHESIS_EXIT = 3
 DEGENERATE_EXIT = 4
+
+# generate options that only some fixtures read: (option, argparse dest, fixtures)
+_FIXTURE_OPTIONS = (
+    ("--dim", "dim", ("ray", "scaling")),
+    ("--lambda", "scale_factor", ("scaling",)),
+    ("--tmax", "tmax", ("shifted-line",)),
+)
 
 
 def _shell_range(text: str) -> tuple[float, float]:
@@ -103,12 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a deterministic fixture")
     p.add_argument("fixture", help="ray | shifted-line | spiral | scaling | non-example | registry name")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None, help="dimension of ray and scaling (default 2)")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda", dest="scale_factor", type=float, default=None,
                    help="factor for the scaling fixture")
-    p.add_argument("--tmax", type=float, default=1000.0, help="largest parameter of the shifted line")
+    p.add_argument("--tmax", type=float, default=None,
+                   help="largest parameter of the shifted line (default 1000)")
     p.add_argument("--shell", type=_shell_range, default=(1e-2, 1e2), metavar="R_MIN:R_MAX")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
@@ -193,10 +201,9 @@ def cmd_distortion(args) -> tuple[dict, int]:
 
 def cmd_cones(args) -> tuple[dict, int]:
     cloud = load_cloud(args.input)
-    shell = ShellConfig(fraction=args.fraction)
-    exchange = verify_cone_exchange(cloud, shell)
-    at_origin = asymptotic_directions(cloud, ConeKind.AT_ORIGIN, shell)
-    at_infinity = asymptotic_directions(cloud, ConeKind.AT_INFINITY, shell)
+    exchange = verify_cone_exchange(cloud, args.fraction)
+    at_origin = asymptotic_directions(cloud, ConeKind.AT_ORIGIN, args.fraction)
+    at_infinity = asymptotic_directions(cloud, ConeKind.AT_INFINITY, args.fraction)
     payload = {
         "command": "cones",
         "input": args.input,
@@ -268,12 +275,17 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_generate(args) -> tuple[dict, int]:
     name = args.fixture
+    for option, dest, readers in _FIXTURE_OPTIONS:
+        if getattr(args, dest) is not None and name not in readers:
+            raise DomainError(f"{option} applies only to {' and '.join(readers)}, not to {name}")
+    dim = 2 if args.dim is None else args.dim
     lo, hi = args.shell
     if name in fixtures.CLOUD_KINDS:
         if name == "shifted-line":
-            cloud = fixtures.shifted_line(count=args.n, t_min=max(lo, 1.0), t_max=args.tmax)
+            t_max = 1000.0 if args.tmax is None else args.tmax
+            cloud = fixtures.shifted_line(count=args.n, t_min=max(lo, 1.0), t_max=t_max)
         else:
-            cloud = fixtures.cloud(name, dim=args.dim, count=args.n, seed=args.seed,
+            cloud = fixtures.cloud(name, dim=dim, count=args.n, seed=args.seed,
                                    r_min=lo, r_max=hi)
         save_cloud(cloud, args.output)
         return {
@@ -285,7 +297,7 @@ def cmd_generate(args) -> tuple[dict, int]:
     if name == "scaling":
         if args.scale_factor is None:
             raise ParseError("generate scaling needs --lambda")
-        f = scaling_analytic(args.scale_factor, dim=args.dim)
+        f = scaling_analytic(args.scale_factor, dim=dim)
         m = sample_analytic(f, SamplerConfig(args.n, lo, hi, args.seed))
     else:
         member = "radial-square" if name == "non-example" else name

@@ -20,6 +20,7 @@ from .errors import DomainError, InsufficientPoints
 from .geometry import PointCloud, invert, norms
 
 MAX_DIRECTIONS = 10**4  # per set; the Hausdorff distance compares every pair
+MIN_SHELL_POINTS = 8  # a rank shell takes at least this many points when the cloud has them
 _BAND_SLACK = 1e-15  # absorbs normalization rounding at band edges
 _BLOCK_PAIRS = 2**16  # squared chords held per block of the Hausdorff pass
 
@@ -27,26 +28,6 @@ _BLOCK_PAIRS = 2**16  # squared chords held per block of the Hausdorff pass
 class ConeKind(enum.Enum):
     AT_ORIGIN = "AtOrigin"
     AT_INFINITY = "AtInfinity"
-
-
-@dataclasses.dataclass(frozen=True)
-class ShellConfig:
-    """Fractional shell selection: a share of the points by radius rank.
-
-    ``fraction`` of the usable points (at least ``min_points``) are
-    taken from the inner or outer end of the radius order.  Rank-based
-    selection is scale-free and exactly inversion-equivariant whenever
-    radii are distinct, because r -> 1/r reverses the order.
-    """
-
-    fraction: float = 0.1
-    min_points: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise DomainError("shell fraction must lie in (0, 1]")
-        if self.min_points < 2:
-            raise DomainError("shell needs at least two points")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +43,7 @@ class DirectionSet:
         radii = np.asarray(self.source_radii, dtype=np.float64)
         if dirs.ndim != 2 or len(dirs) != len(radii):
             raise DomainError("directions and source radii must align")
-        if len(dirs) and np.max(np.abs(np.asarray(norms(dirs)) - 1.0)) > 1e-12:
+        if len(dirs) and np.max(np.abs(norms(dirs) - 1.0)) > 1e-12:
             raise DomainError("directions must be unit vectors")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "source_radii", radii)
@@ -100,24 +81,33 @@ class ExchangeResiduals(NamedTuple):
     origin_to_infinity: float
 
 
-def asymptotic_directions(
-    cloud: PointCloud, kind: ConeKind, shell: ShellConfig = ShellConfig()
-) -> DirectionSet:
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise DomainError("shell fraction must lie in (0, 1]")
+
+
+def asymptotic_directions(cloud: PointCloud, kind: ConeKind, fraction: float = 0.1) -> DirectionSet:
     """Directions of the innermost or outermost fraction of a cloud.
 
-    Exact-zero points are skipped.  Selection is by radius rank with a
-    stable sort, so equal radii keep their index order and scaling the
-    cloud never changes the selection.
+    The shell is ``fraction`` of the nonzero points, and at least
+    ``MIN_SHELL_POINTS`` of them, taken from the inner or outer end of
+    the radius order; exact-zero points are skipped.  Selection is by
+    radius rank with a stable sort, so equal radii keep their index
+    order and scaling the cloud never changes the selection.  Rank-based
+    selection is scale-free and exactly inversion-equivariant whenever
+    radii are distinct, because r -> 1/r reverses the order.
 
     Raises:
+        DomainError: if ``fraction`` lies outside (0, 1].
         InsufficientPoints: if fewer than 2 usable points exist.
     """
+    _check_fraction(fraction)
     r = cloud.radii()
     usable = np.flatnonzero(r > 0.0)
     if len(usable) < 2:
         raise InsufficientPoints("need at least two nonzero points for directions")
     order = usable[np.argsort(r[usable], kind="stable")]
-    k = min(len(order), max(shell.min_points, math.ceil(shell.fraction * len(order))))
+    k = min(len(order), max(MIN_SHELL_POINTS, math.ceil(fraction * len(order))))
     chosen = order[:k] if kind is ConeKind.AT_ORIGIN else order[-k:]
     pts = cloud.points[chosen]
     radii = r[chosen]
@@ -201,25 +191,24 @@ def angular_hausdorff(a: DirectionSet, b: DirectionSet) -> float:
     return float(np.max(2.0 * np.arcsin(chords / 2.0)))
 
 
-def verify_cone_exchange(
-    cloud: PointCloud, shell: ShellConfig = ShellConfig()
-) -> ExchangeResiduals:
+def verify_cone_exchange(cloud: PointCloud, fraction: float = 0.1) -> ExchangeResiduals:
     """Residuals of the exchange of asymptotic sets under inversion.
 
     The directions at infinity of a cloud must match the directions at
     the origin of its inversion, and vice versa; since inversion
-    preserves directions exactly, matched rank shells drive both
-    residuals to roundoff.
+    preserves directions exactly, matched rank shells of ``fraction``
+    (see ``asymptotic_directions``) drive both residuals to roundoff.
     """
+    _check_fraction(fraction)
     r = cloud.radii()
     nonzero = cloud.points[r > 0.0]
     if len(nonzero) < 2:
         raise InsufficientPoints("need at least two nonzero points")
     inverted = PointCloud(invert(nonzero), cloud.label)
-    inf_dirs = asymptotic_directions(cloud, ConeKind.AT_INFINITY, shell)
-    origin_of_inv = asymptotic_directions(inverted, ConeKind.AT_ORIGIN, shell)
-    origin_dirs = asymptotic_directions(cloud, ConeKind.AT_ORIGIN, shell)
-    inf_of_inv = asymptotic_directions(inverted, ConeKind.AT_INFINITY, shell)
+    inf_dirs = asymptotic_directions(cloud, ConeKind.AT_INFINITY, fraction)
+    origin_of_inv = asymptotic_directions(inverted, ConeKind.AT_ORIGIN, fraction)
+    origin_dirs = asymptotic_directions(cloud, ConeKind.AT_ORIGIN, fraction)
+    inf_of_inv = asymptotic_directions(inverted, ConeKind.AT_INFINITY, fraction)
     return ExchangeResiduals(
         infinity_to_origin=angular_hausdorff(inf_dirs, origin_of_inv),
         origin_to_infinity=angular_hausdorff(origin_dirs, inf_of_inv),

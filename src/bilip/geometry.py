@@ -3,8 +3,9 @@
 Euclidean inversion x -> x/|x|^2, the inverse stereographic embedding of
 R^q into the unit sphere of R^(q+1), the half-ball chart at the north
 pole, and residual checks for the exact distance identities these maps
-satisfy.  Each accepts a single point ``(q,)`` or a stack ``(n, q)``,
-the pair checks two stacks paired by row, and returns the matching shape.
+satisfy.  Each takes a stack ``(n, q)`` of points, the pair checks two
+equally shaped stacks paired by row, and returns one value (or one
+point) per row.  Any other shape is a ``DomainError`` that names it.
 """
 
 from __future__ import annotations
@@ -26,33 +27,29 @@ CHART_BOUNDARY_SLACK = 1e-12  # rounding allowance at the chart boundary
 _LARGE_RADIUS = 1e150  # beyond this, |x|^2 risks overflow; switch forms
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    """Return ``(points, was_single)`` with points shaped (n, q)."""
+def _as_batch(x) -> np.ndarray:
+    """The points as a float64 stack shaped (n, q)."""
     # C order: numpy's summation order follows memory layout, so a batch
     # matches its rows bit for bit only if every input is laid out alike
     p = np.asarray(x, dtype=np.float64, order="C")
-    single = p.ndim == 1
-    if single:
-        p = p[None, :]
     if p.ndim != 2 or p.shape[1] == 0:
-        raise DomainError(f"expected (q,) or (n, q) coordinates, got shape {p.shape}")
-    _reject_rows(~np.isfinite(p), DomainError, "non-finite coordinates", single)
-    return p, single
+        raise DomainError(f"expected an (n, q) stack of coordinates, got shape {p.shape}")
+    _reject_rows(~np.isfinite(p), DomainError, "non-finite coordinates")
+    return p
 
 
-def _as_pairs(x1, x2) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Two equally shaped point stacks whose rows pair up, and whether both were single."""
-    a, single_a = _as_batch(x1)
-    b, single_b = _as_batch(x2)
+def _as_pairs(x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """Two equally shaped point stacks whose rows pair up."""
+    a, b = _as_batch(x1), _as_batch(x2)
     if a.shape != b.shape:
         raise DomainError(f"paired points must share a shape, got {a.shape} and {b.shape}")
-    return a, b, single_a and single_b
+    return a, b
 
 
-def _reject_rows(bad: np.ndarray, error: type[Exception], message: str, single: bool) -> None:
-    """Raise ``error`` if ``bad`` flags anything, naming the first flagged row (axis 0) of a batch."""
+def _reject_rows(bad: np.ndarray, error: type[Exception], message: str) -> None:
+    """Raise ``error`` if ``bad`` flags anything, naming the first flagged row (axis 0)."""
     if np.any(bad):
-        raise error(message if single else f"{message} (row {np.unravel_index(np.argmax(bad), bad.shape)[0]})")
+        raise error(f"{message} (row {np.unravel_index(np.argmax(bad), bad.shape)[0]})")
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,16 +57,24 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def norms(x) -> np.ndarray | float:
-    """Euclidean norms, safe against overflow and underflow of |x|^2."""
-    p, single = _as_batch(x)
-    m = np.max(np.abs(p), axis=1)
-    out = np.zeros_like(m)
-    nz = m > 0
-    if np.any(nz):
-        scaled = p[nz] / m[nz, None]
-        out[nz] = m[nz] * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
-    return float(out[0]) if single else out
+def _max_abs(p: np.ndarray) -> np.ndarray:
+    """Largest |coordinate| of each row of a stack."""
+    # one column at a time: with numpy 2.4, a reduction along the short row
+    # axis took 20x as long for 1e5 rows at q = 2; a maximum is exact in any order
+    a = np.abs(p)
+    m = a[:, 0].copy()
+    for k in range(1, p.shape[1]):
+        np.maximum(m, a[:, k], out=m)
+    return m
+
+
+def norms(x) -> np.ndarray:
+    """Euclidean norms of the rows, safe against overflow and underflow of |x|^2."""
+    p = _as_batch(x)
+    m = _max_abs(p)
+    # a zero row divides by 1 and keeps norm 0
+    scaled = p / np.where(m > 0.0, m, 1.0)[:, None]
+    return m * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
 
 
 def invert(x) -> np.ndarray:
@@ -81,13 +86,10 @@ def invert(x) -> np.ndarray:
     Raises:
         OriginError: if any input radius is below 1e-300.
     """
-    p, single = _as_batch(x)
-    r = np.max(np.abs(p), axis=1)
-    _reject_rows(r < ORIGIN_EPSILON, OriginError, "inversion is undefined at the origin", single)
-    scaled = p / r[:, None]
-    rr = r * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
-    out = (p / rr[:, None]) / rr[:, None]
-    return out[0] if single else out
+    p = _as_batch(x)
+    _reject_rows(_max_abs(p) < ORIGIN_EPSILON, OriginError, "inversion is undefined at the origin")
+    r = norms(p)
+    return (p / r[:, None]) / r[:, None]
 
 
 def stereo_embed(x) -> np.ndarray:
@@ -96,10 +98,10 @@ def stereo_embed(x) -> np.ndarray:
     Maps x to (2x/(1+|x|^2), (|x|^2-1)/(|x|^2+1)).  Defined for every
     finite x; the image approaches the north pole as |x| grows.
     """
-    p, single = _as_batch(x)
+    p = _as_batch(x)
     n, q = p.shape
     out = np.empty((n, q + 1))
-    r = np.asarray(norms(p))
+    r = norms(p)
     big = r > _LARGE_RADIUS
     if np.any(~big):
         r2 = r[~big] ** 2
@@ -112,7 +114,7 @@ def stereo_embed(x) -> np.ndarray:
         t2 = t * t
         out[big, :q] = u * (2.0 * t / (1.0 + t2))[:, None]
         out[big, q] = (1.0 - t2) / (1.0 + t2)
-    return out[0] if single else out
+    return out
 
 
 def stereo_project(p) -> np.ndarray:
@@ -127,11 +129,10 @@ def stereo_project(p) -> np.ndarray:
         DomainError: if the input is off the unit sphere by more than 1e-9.
         PoleError: if 1 - p_last <= 1e-12 (the pole has no preimage).
     """
-    pts, single = _as_batch(p)
+    pts = _as_batch(p)
     if pts.shape[1] < 2:
         raise DomainError("sphere points need at least two coordinates")
-    r = np.asarray(norms(pts))
-    _reject_rows(np.abs(r - 1.0) > SPHERE_TOLERANCE, DomainError, "point is not on the unit sphere", single)
+    _reject_rows(np.abs(norms(pts) - 1.0) > SPHERE_TOLERANCE, DomainError, "point is not on the unit sphere")
     first = pts[:, :-1]
     t = pts[:, -1]
     gap = 1.0 - t
@@ -139,9 +140,8 @@ def stereo_project(p) -> np.ndarray:
     if np.any(north):
         fn = first[north]
         gap[north] = np.einsum("ij,ij->i", fn, fn) / (1.0 + t[north])
-    _reject_rows(gap <= POLE_EPSILON, PoleError, "projection is undefined at the north pole", single)
-    out = first / gap[:, None]
-    return out[0] if single else out
+    _reject_rows(gap <= POLE_EPSILON, PoleError, "projection is undefined at the north pole")
+    return first / gap[:, None]
 
 
 def north_pole(q: int) -> np.ndarray:
@@ -151,33 +151,29 @@ def north_pole(q: int) -> np.ndarray:
     return p
 
 
-def _chart_domain(y) -> tuple[np.ndarray, np.ndarray, bool]:
-    pts, single = _as_batch(y)
-    r = np.asarray(norms(pts))
-    if np.any(r > CHART_RADIUS + CHART_BOUNDARY_SLACK):
-        raise DomainError("half-ball chart is defined only for |y| <= 1/2")
-    return pts, r, single
+def _chart_domain(y) -> tuple[np.ndarray, np.ndarray]:
+    pts = _as_batch(y)
+    r = norms(pts)
+    _reject_rows(r > CHART_RADIUS + CHART_BOUNDARY_SLACK, DomainError, "half-ball chart is defined only for |y| <= 1/2")
+    return pts, r
 
 
-def pole_chart(y, renormalize: bool = False) -> np.ndarray:
+def pole_chart(y) -> np.ndarray:
     """Half-ball chart at the north pole, verbatim printed form.
 
     Maps y in the closed half-ball |y| <= 1/2 to
     (y/(1+|y|^2), (1-|y|)/(1+|y|^2)).  The image is not on the unit
-    sphere away from y = 0; pass ``renormalize=True`` to project the
-    output radially onto the sphere.  See ``pole_chart_exact`` for the
-    variant that lands on the sphere identically and satisfies the
-    gluing identity with ``stereo_embed``.
+    sphere away from y = 0.  See ``pole_chart_exact`` for the variant
+    that lands on the sphere identically and satisfies the gluing
+    identity with ``stereo_embed``.
     """
-    pts, r, single = _chart_domain(y)
+    pts, r = _chart_domain(y)
     n, q = pts.shape
     denom = 1.0 + r * r
     out = np.empty((n, q + 1))
     out[:, :q] = pts / denom[:, None]
     out[:, q] = (1.0 - r) / denom
-    if renormalize:
-        out /= np.asarray(norms(out))[:, None]
-    return out[0] if single else out
+    return out
 
 
 def pole_chart_exact(y) -> np.ndarray:
@@ -189,37 +185,34 @@ def pole_chart_exact(y) -> np.ndarray:
     latitude 3/5, and satisfies chart(invert(x)) = stereo_embed(x) for
     every |x| >= 2.
     """
-    pts, r, single = _chart_domain(y)
+    pts, r = _chart_domain(y)
     n, q = pts.shape
     r2 = r * r
     denom = 1.0 + r2
     out = np.empty((n, q + 1))
     out[:, :q] = 2.0 * pts / denom[:, None]
     out[:, q] = (1.0 - r2) / denom
-    return out[0] if single else out
+    return out
 
 
-def inversion_derivative_norm(x, h: float | None = None) -> np.ndarray | float:
-    """Finite-difference operator norm of the derivative of inversion at x.
+def inversion_derivative_norm(x) -> np.ndarray:
+    """Finite-difference operator norm of the derivative of inversion at each row.
 
-    Central differences along an orthonormal frame whose first vector is
-    radial; the largest singular value of the assembled Jacobian
-    estimates |D invert(x)| = 1/|x|^2.  The step defaults to 1e-6 * |x|
-    and must satisfy 0 < h <= 1e-4 * |x|.
+    Central differences with step 1e-6 * |x| along an orthonormal frame
+    whose first vector is radial; the largest singular value of the
+    assembled Jacobian estimates |D invert(x)| = 1/|x|^2.
     """
-    p, single = _as_batch(x)
+    p = _as_batch(x)
     n, q = p.shape
     r = norms(p)
-    _reject_rows(r < ORIGIN_EPSILON, OriginError, "derivative of inversion is undefined at the origin", single)
-    step = 1e-6 * r if h is None else np.full(n, float(h))
-    _reject_rows(~((0.0 < step) & (step <= 1e-4 * r)), DomainError, "step must satisfy 0 < h <= 1e-4 * |x|", single)
+    _reject_rows(r < ORIGIN_EPSILON, OriginError, "derivative of inversion is undefined at the origin")
+    step = 1e-6 * r
     # a Householder frame is symmetric, so its row i is its column i
     offset = step[:, None, None] * _radial_frames(p / r[:, None])
     ahead = invert((p[:, None, :] + offset).reshape(-1, q)).reshape(n, q, q)
     behind = invert((p[:, None, :] - offset).reshape(-1, q)).reshape(n, q, q)
     jac = np.swapaxes((ahead - behind) / (2.0 * step)[:, None, None], 1, 2)
-    out = np.linalg.svd(jac, compute_uv=False)[:, 0]
-    return float(out[0]) if single else out
+    return np.linalg.svd(jac, compute_uv=False)[:, 0]
 
 
 def _radial_frames(u: np.ndarray) -> np.ndarray:
@@ -239,12 +232,12 @@ def _radial_frames(u: np.ndarray) -> np.ndarray:
 
 
 class SeparationBounds(NamedTuple):
-    """Two-sided bound on |x_far - x| from the radii alone."""
+    """Two-sided bound on |x_far - x| from the radii alone, one entry per row."""
 
-    lower: np.ndarray | float
-    upper: np.ndarray | float
-    distance: np.ndarray | float
-    holds: np.ndarray | bool
+    lower: np.ndarray
+    upper: np.ndarray
+    distance: np.ndarray
+    holds: np.ndarray
 
 
 def separation_bounds(x, x_far) -> SeparationBounds:
@@ -260,37 +253,35 @@ def separation_bounds(x, x_far) -> SeparationBounds:
         OriginError: if |x| = 0 (no valid C).
         DomainError: if |x_far| <= |x|.
     """
-    a, b, single = _as_pairs(x, x_far)
+    a, b = _as_pairs(x, x_far)
     ra, rb = norms(a), norms(b)
-    _reject_rows(ra < ORIGIN_EPSILON, OriginError, "reference point must be nonzero", single)
-    _reject_rows(rb <= ra, DomainError, "|x_far| must exceed |x|", single)
+    _reject_rows(ra < ORIGIN_EPSILON, OriginError, "reference point must be nonzero")
+    _reject_rows(rb <= ra, DomainError, "|x_far| must exceed |x|")
     c = rb / ra - 1.0
     lower = c / (1.0 + c) * rb
     upper = (2.0 + c) / (1.0 + c) * rb
     dist = norms(b - a)
     slack = 1e-12 * upper
     holds = ((lower - slack) <= dist) & (dist <= (upper + slack))
-    bounds = SeparationBounds(lower, upper, dist, holds)
-    return SeparationBounds(*(v.item() for v in bounds)) if single else bounds
+    return SeparationBounds(lower, upper, dist, holds)
 
 
-def inverted_distance_residual(x1, x2) -> np.ndarray | float:
+def inverted_distance_residual(x1, x2) -> np.ndarray:
     """Relative residual of |i(x1)-i(x2)| = |i(x1)| |i(x2)| |x1-x2|.
 
     Both sides are computed independently: the left from the inverted
     points, the right from their norms and the original distance,
     multiplied smaller radius first so it stays finite at any radius.
     """
-    a, b, single = _as_pairs(x1, x2)
+    a, b = _as_pairs(x1, x2)
     ya, yb = invert(a), invert(b)
     big = norms(ya - yb)
     r1, r2 = norms(ya), norms(yb)
     rhs = (norms(a - b) * np.minimum(r1, r2)) * np.maximum(r1, r2)
-    out = np.abs(big - rhs) / np.maximum(big, RESIDUAL_FLOOR)
-    return float(out[0]) if single else out
+    return np.abs(big - rhs) / np.maximum(big, RESIDUAL_FLOOR)
 
 
-def law_of_cosines_residual(x1, x2) -> np.ndarray | float:
+def law_of_cosines_residual(x1, x2) -> np.ndarray:
     """Relative residual of the squared-distance law at the origin.
 
     With r1 >= r2 the radii, 2*theta in [0, pi] the angle between the
@@ -299,17 +290,16 @@ def law_of_cosines_residual(x1, x2) -> np.ndarray | float:
     Left side from coordinates, right side from radii and angle, both
     divided by r1^2 so that they stay finite at any radius.
     """
-    a, b, single = _as_pairs(x1, x2)
+    a, b = _as_pairs(x1, x2)
     ra, rb = norms(a), norms(b)
     _reject_rows(np.minimum(ra, rb) < ORIGIN_EPSILON, OriginError,
-                 "angle at the origin is undefined for a zero radius", single)
+                 "angle at the origin is undefined for a zero radius")
     r1 = np.maximum(ra, rb)
     cos_full = np.clip(dot_rows(a / ra[:, None], b / rb[:, None]), -1.0, 1.0)
     theta = np.arccos(cos_full) / 2.0
     rhs = (np.abs(ra - rb) / r1) ** 2 * np.cos(theta) ** 2 + ((ra + rb) / r1) ** 2 * np.sin(theta) ** 2
     e2 = (norms(a - b) / r1) ** 2
-    out = np.abs(e2 - rhs) / np.maximum(e2, RESIDUAL_FLOOR)
-    return float(out[0]) if single else out
+    return np.abs(e2 - rhs) / np.maximum(e2, RESIDUAL_FLOOR)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -339,4 +329,4 @@ class PointCloud:
         return int(self.points.shape[0])
 
     def radii(self) -> np.ndarray:
-        return np.asarray(norms(self.points))
+        return norms(self.points)

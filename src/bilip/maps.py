@@ -130,7 +130,7 @@ def invert_map(m: SampledMap) -> SampledMap:
         keep[m.origin_index()] = False
     dom = dom[keep]
     cod = cod[keep]
-    if np.any(np.asarray(norms(cod)) == 0.0):
+    if np.any(norms(cod) == 0.0):
         raise HypothesisError("a nonzero sample maps to the origin; inversion undefined")
     new_dom = invert(dom)
     new_cod = invert(cod)
@@ -201,7 +201,7 @@ def restrict_map(m: SampledMap, r_min: float, r_max: float) -> SampledMap:
     dom = m.domain.points[keep]
     cod = m.codomain.points[keep]
     dom_radii = radii[keep]
-    cod_radii = np.asarray(norms(cod))
+    cod_radii = norms(cod)
     zero = np.flatnonzero(dom_radii == 0.0)
     fixes = len(zero) == 1 and cod_radii[zero[0]] == 0.0
     avoids = not fixes and min(dom_radii.min(), cod_radii.min()) >= ORIGIN_GUARD
@@ -222,10 +222,10 @@ class AnalyticMap:
 
     ``func`` acts on a batch (n, dim_in) and returns (n, dim_out).
     ``bilip_constant`` is the true bi-Lipschitz constant on
-    ``domain_radii`` when known, None otherwise; ``bilipschitz`` is
-    False for deliberate non-examples.  ``singular_dirs`` are unit
-    directions attaining the extremal ratios (when known), along which
-    ``sample_analytic`` adds probe rows.
+    ``domain_radii`` when known, None otherwise (as for the deliberate
+    non-example).  ``singular_dirs`` are unit directions attaining the
+    extremal ratios (when known), along which ``sample_analytic`` adds
+    probe rows.
     """
 
     name: str
@@ -234,7 +234,6 @@ class AnalyticMap:
     func: Callable[[np.ndarray], np.ndarray]
     bilip_constant: float | None
     fixes_origin: bool
-    bilipschitz: bool = True
     domain_radii: tuple[float, float] = (0.0, np.inf)
     singular_dirs: tuple = ()
 
@@ -299,8 +298,8 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
     cod = np.asarray(f.func(dom), dtype=np.float64)
     if cod.shape != (len(dom), f.dim_out) or not np.all(np.isfinite(cod)):
         raise DomainError(f"evaluator of {f.name} returned a malformed image")
-    dom_radii = np.asarray(norms(dom))
-    cod_radii = np.asarray(norms(cod))
+    dom_radii = norms(dom)
+    cod_radii = norms(cod)
     avoids = not with_origin and min(dom_radii.min(), cod_radii.min()) >= ORIGIN_GUARD
     return SampledMap(
         domain=PointCloud(dom, f.name),
@@ -365,7 +364,7 @@ def radial_power_analytic(
         raise DomainError("need 0 < r_lo <= r_hi")
 
     def func(pts: np.ndarray, _t=exponent) -> np.ndarray:
-        r = np.asarray(norms(pts))
+        r = norms(pts)
         return np.power(r, _t - 1.0)[:, None] * pts
 
     return AnalyticMap(
@@ -383,7 +382,7 @@ def radial_square_analytic(dim: int = 2) -> AnalyticMap:
     """The non-example x -> |x| x on [0, 1]: not bi-Lipschitz near 0."""
 
     def func(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(norms(pts))[:, None] * pts
+        return norms(pts)[:, None] * pts
 
     return AnalyticMap(
         name="radial-square",
@@ -392,7 +391,6 @@ def radial_square_analytic(dim: int = 2) -> AnalyticMap:
         func=func,
         bilip_constant=None,
         fixes_origin=True,
-        bilipschitz=False,
         domain_radii=(0.0, 1.0),
     )
 

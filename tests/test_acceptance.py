@@ -75,15 +75,15 @@ def test_criterion_3_radial_sandwich(criterion_report):
     grow = 1.5 * np.linalg.norm(inner, axis=1) / np.linalg.norm(outer, axis=1)
     outer = outer * np.maximum(1.0, grow * 1.001)[:, None]
     violations = int(np.count_nonzero(~separation_bounds(inner, outer).holds))
-    base = np.array([1.0, 0.0, 0.0])
+    base = np.array([[1.0, 0.0, 0.0]])
     collinear = separation_bounds(base, 3.0 * base)
     antipodal = separation_bounds(base, -3.0 * base)
-    attained = (
+    attained = bool(np.all(
         collinear.holds
-        and antipodal.holds
-        and abs(collinear.distance - collinear.lower) <= 1e-12 * collinear.upper
-        and abs(antipodal.distance - antipodal.upper) <= 1e-12 * antipodal.upper
-    )
+        & antipodal.holds
+        & (np.abs(collinear.distance - collinear.lower) <= 1e-12 * collinear.upper)
+        & (np.abs(antipodal.distance - antipodal.upper) <= 1e-12 * antipodal.upper)
+    ))
     ok = violations == 0 and attained
     criterion_report(
         3, "radial separation sandwich holds with exact attainment cases",

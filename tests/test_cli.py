@@ -191,6 +191,17 @@ class TestCones:
         assert out.returncode == 4
         assert "no points in the band" in out.stderr
 
+    def test_bad_fraction_exits_2_before_other_checks(self, tmp_path, capsys):
+        # one nonzero point: with a valid fraction this cloud exits 4
+        (tmp_path / "lone.csv").write_text("x1,x2\n0.0,0.0\n1.0,0.0\n")
+        path = str(tmp_path / "lone.csv")
+        assert main(["cones", path]) == 4
+        capsys.readouterr()
+        assert main(["cones", path, "--fraction", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "shell fraction must lie in (0, 1]" in captured.err
+        assert captured.out == ""
+
     def test_band_without_shell_exits_2(self, tmp_path):
         assert run_cli(
             "generate", "ray", "--n", "30", "--output", "ray.csv", cwd=tmp_path
@@ -292,6 +303,25 @@ class TestUsageErrors:
         out = run_cli("generate", "scaling", "--output", "s.csv", cwd=tmp_path)
         assert out.returncode == 2
         assert "needs --lambda" in out.stderr
+
+    @pytest.mark.parametrize("fixture, option, value, readers", [
+        ("spiral", "--dim", "3", "ray and scaling"),
+        ("shear", "--lambda", "5", "scaling"),
+        ("ray", "--tmax", "7", "shifted-line"),
+    ], ids=["dim", "lambda", "tmax"])
+    def test_option_for_another_fixture_exits_2(self, tmp_path, capsys, fixture, option, value, readers):
+        output = tmp_path / "x.csv"
+        assert main(["generate", fixture, option, value, "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert f"usage error: {option} applies only to {readers}, not to {fixture}" in captured.err
+        assert captured.out == ""
+        assert not output.exists()
+
+    def test_tmax_reaches_the_shifted_line(self, tmp_path, capsys):
+        line = tmp_path / "line.csv"
+        assert main(["generate", "shifted-line", "--tmax", "50", "--output", str(line)]) == 0
+        capsys.readouterr()
+        assert load_cloud(line).points[:, 0].max() == 50.0
 
     def test_string_flag_in_sidecar_exits_2(self, tmp_path):
         path = make_scaling(tmp_path)

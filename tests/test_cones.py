@@ -16,7 +16,6 @@ from bilip import cones
 from bilip.cones import (
     ConeKind,
     DirectionSet,
-    ShellConfig,
     angular_hausdorff,
     asymptotic_directions,
     link,
@@ -230,12 +229,23 @@ class TestDirectionSelection:
         assert np.array_equal(a.directions, b.directions)
 
     def test_fraction_validation(self):
-        with pytest.raises(DomainError):
-            ShellConfig(fraction=0.0)
-        with pytest.raises(DomainError):
-            ShellConfig(fraction=1.5)
-        with pytest.raises(DomainError):
-            ShellConfig(min_points=1)
+        cloud = log_spiral()
+        # a lone nonzero point, so the fraction must be checked before the point count
+        lone = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]), "lone")
+        for fraction in (0.0, 1.5, math.nan):
+            with pytest.raises(DomainError, match=r"shell fraction must lie in \(0, 1\]"):
+                asymptotic_directions(cloud, ConeKind.AT_INFINITY, fraction)
+            for target in (cloud, lone):
+                with pytest.raises(DomainError, match=r"shell fraction must lie in \(0, 1\]"):
+                    verify_cone_exchange(target, fraction)
+        with pytest.raises(InsufficientPoints):
+            verify_cone_exchange(lone, 1.0)
+
+    def test_shell_keeps_min_points(self):
+        # 10% of 150 is 15; 1% would be 2, so the shell floor of 8 applies
+        cloud = log_spiral()
+        assert len(asymptotic_directions(cloud, ConeKind.AT_ORIGIN, 0.1)) == 15
+        assert len(asymptotic_directions(cloud, ConeKind.AT_ORIGIN, 0.01)) == cones.MIN_SHELL_POINTS == 8
 
     def test_shifted_line_outermost_direction(self):
         # The outermost sample of {(t, 1)} at t = 1000 points within

@@ -373,7 +373,6 @@ class TestRegistry:
 
     def test_non_example_flagged(self):
         f = registry()["radial-square"]
-        assert not f.bilipschitz
         assert f.bilip_constant is None
         assert f.fixes_origin
 
