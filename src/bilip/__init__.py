@@ -71,7 +71,6 @@ from .maps import (
     registry,
     restrict_map,
     sample_analytic,
-    validate_origin_hypothesis,
 )
 from .serialize import dumps_report, load_cloud, load_map, save_cloud, save_map
 
@@ -127,6 +126,5 @@ __all__ = [
     "separation_bounds",
     "stereo_embed",
     "stereo_project",
-    "validate_origin_hypothesis",
     "verify_cone_exchange",
 ]

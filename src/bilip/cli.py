@@ -40,12 +40,18 @@ USAGE_EXIT = 2
 HYPOTHESIS_EXIT = 3
 DEGENERATE_EXIT = 4
 
-# generate options that only some fixtures read: (option, argparse dest, fixtures)
-_FIXTURE_OPTIONS = (
-    ("--dim", "dim", ("ray", "scaling")),
-    ("--lambda", "scale_factor", ("scaling",)),
-    ("--tmax", "tmax", ("shifted-line",)),
-)
+
+def _reject_unread(args, rules) -> None:
+    """Raise "OPTION REASON" as a usage error for the first rule given but not read.
+
+    A rule is (option, argparse dest, read, reason); an option is given
+    when its value is neither None nor False.  Commands check before
+    reading any input, so a dropped option costs no work.
+    """
+    for option, dest, read, reason in rules:
+        value = getattr(args, dest)
+        if value is not None and value is not False and not read:
+            raise DomainError(f"{option} {reason}")
 
 
 def _shell_range(text: str) -> tuple[float, float]:
@@ -81,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distortion", help="estimate bi-Lipschitz constants of a map file")
     p.add_argument("input")
     p.add_argument("--strategy", choices=("all", "random"), default="all")
-    p.add_argument("--pairs", type=int, default=DEFAULT_RANDOM_PAIRS, help="random-strategy sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pairs", type=int, default=None,
+                   help=f"random-strategy sample count (default {DEFAULT_RANDOM_PAIRS})")
+    p.add_argument("--seed", type=int, default=None, help="random-strategy seed (default 0)")
     p.add_argument("--shell", type=_shell_range, default=None, metavar="R_MIN:R_MAX")
     p.add_argument("--output", default=None, help="report path (stdout when absent)")
     p.set_defaults(func=cmd_distortion)
@@ -170,6 +177,11 @@ def cmd_compactify(args) -> tuple[dict, int]:
 
 
 def cmd_distortion(args) -> tuple[dict, int]:
+    drawn = args.strategy == "random"
+    _reject_unread(args, (
+        ("--pairs", "pairs", drawn, "applies only to --strategy random"),
+        ("--seed", "seed", drawn, "applies only to --strategy random"),
+    ))
     m = load_map(args.input)
     shell_text = None
     if args.shell is not None:
@@ -179,7 +191,8 @@ def cmd_distortion(args) -> tuple[dict, int]:
     if args.strategy == "all":
         strategy = AllPairs()
     else:
-        strategy = SeededRandom(samples=args.pairs, seed=args.seed)
+        given = {"samples": args.pairs, "seed": args.seed}
+        strategy = SeededRandom(**{k: v for k, v in given.items() if v is not None})
     report = estimate_bilip(m, strategy)
     payload = {
         "command": "distortion",
@@ -200,6 +213,10 @@ def cmd_distortion(args) -> tuple[dict, int]:
 
 
 def cmd_cones(args) -> tuple[dict, int]:
+    _reject_unread(args, (
+        ("--band", "band", args.shell is not None, "needs --shell to place the link slice"),
+        ("--shell", "shell", args.band is not None, "needs --band to set the width of the link slice"),
+    ))
     cloud = load_cloud(args.input)
     exchange = verify_cone_exchange(cloud, args.fraction)
     at_origin = asymptotic_directions(cloud, ConeKind.AT_ORIGIN, args.fraction)
@@ -229,8 +246,6 @@ def cmd_cones(args) -> tuple[dict, int]:
     payload["shells_overlap"] = outer_min <= inner_max
     payload["shell_gap_log"] = float(np.log(outer_min / inner_max))
     if args.band is not None:
-        if args.shell is None:
-            raise ParseError("--band needs --shell to place the link slice")
         lo, hi = args.shell
         radius = float(np.sqrt(lo * hi))
         slice_ = link(cloud, radius, args.band)
@@ -246,11 +261,12 @@ def cmd_cones(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    if args.suite not in ("all", "identities"):
-        for option, given in (("--pairs", args.pairs is not None),
-                              ("--renormalize-beta", args.renormalize_beta)):
-            if given:
-                raise DomainError(f"{option} applies only to the identities suite, not to {args.suite}")
+    identities = args.suite in ("all", "identities")
+    reason = f"applies only to the identities suite, not to {args.suite}"
+    _reject_unread(args, (
+        ("--pairs", "pairs", identities, reason),
+        ("--renormalize-beta", "renormalize_beta", identities, reason),
+    ))
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     suites = []
     for name in names:
@@ -275,9 +291,11 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_generate(args) -> tuple[dict, int]:
     name = args.fixture
-    for option, dest, readers in _FIXTURE_OPTIONS:
-        if getattr(args, dest) is not None and name not in readers:
-            raise DomainError(f"{option} applies only to {' and '.join(readers)}, not to {name}")
+    _reject_unread(args, (
+        ("--dim", "dim", name in ("ray", "scaling"), f"applies only to ray and scaling, not to {name}"),
+        ("--lambda", "scale_factor", name == "scaling", f"applies only to scaling, not to {name}"),
+        ("--tmax", "tmax", name == "shifted-line", f"applies only to shifted-line, not to {name}"),
+    ))
     dim = 2 if args.dim is None else args.dim
     lo, hi = args.shell
     if name in fixtures.CLOUD_KINDS:

@@ -52,8 +52,9 @@ def _reject_rows(bad: np.ndarray, error: type[Exception], message: str) -> None:
         raise error(f"{message} (row {np.unravel_index(np.argmax(bad), bad.shape)[0]})")
 
 
-def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, each equal to the 1-D ``a[k] @ b[k]`` bit for bit."""
+def dot_rows(x1, x2) -> np.ndarray:
+    """Row-wise dot products of two paired stacks, each the 1-D ``a[k] @ b[k]`` bit for bit."""
+    a, b = _as_pairs(x1, x2)
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 

@@ -38,18 +38,20 @@ class Ambient(enum.Enum):
 class SampledMap:
     """A homeomorphism represented by positionally paired samples.
 
-    Row i of ``domain`` maps to row i of ``codomain``.  The flags state
-    facts about the underlying map: ``fixes_origin`` requires exactly
-    one (0, 0) pair, ``avoids_origin`` requires every domain and
-    codomain sample to keep radius >= 1e-9, and ``unbounded_domain`` is
-    a declaration about the underlying set, never inferred from the
-    sample.  Flag claims are checked against the data on construction.
+    Row i of ``domain`` maps to row i of ``codomain``.  The samples
+    decide the two origin flags: ``fixes_origin`` holds when exactly one
+    domain row sits at radius 0 and maps to 0, ``avoids_origin`` when
+    every domain and codomain radius is at least ``ORIGIN_GUARD``; on
+    the sphere both are false.  A value passed for either flag is a
+    statement (a sidecar's, say) that must agree with the samples.
+    ``unbounded_domain`` is a declaration about the underlying set that
+    no sample can show.
     """
 
     domain: PointCloud
     codomain: PointCloud
-    fixes_origin: bool = False
-    avoids_origin: bool = False
+    fixes_origin: bool | None = None
+    avoids_origin: bool | None = None
     unbounded_domain: bool = False
     ambient: Ambient = Ambient.AFFINE
 
@@ -58,22 +60,24 @@ class SampledMap:
             raise DomainError("domain and codomain must pair by index")
         if len(self.domain) < 2:
             raise DomainError("a sampled map needs at least two pairs")
+        dom_radii = self.domain.radii()
+        cod_radii = self.codomain.radii()
         if self.ambient is Ambient.SPHERE:
-            for cloud in (self.domain, self.codomain):
-                if np.max(np.abs(cloud.radii() - 1.0)) > SPHERE_TOLERANCE:
+            for radii in (dom_radii, cod_radii):
+                if np.max(np.abs(radii - 1.0)) > SPHERE_TOLERANCE:
                     raise DomainError("sphere-ambient samples must lie on the unit sphere")
-        if self.fixes_origin and self.avoids_origin:
-            raise HypothesisError("fixes_origin and avoids_origin are mutually exclusive")
-        if self.fixes_origin:
-            zero = np.flatnonzero(self.domain.radii() == 0.0)
-            if len(zero) != 1:
-                raise HypothesisError("fixes_origin requires exactly one domain sample at 0")
-            if self.codomain.radii()[zero[0]] != 0.0:
-                raise HypothesisError("fixes_origin requires the origin to map to 0")
-        if self.avoids_origin:
-            low = min(float(self.domain.radii().min()), float(self.codomain.radii().min()))
-            if low < ORIGIN_GUARD:
-                raise HypothesisError("avoids_origin requires all samples to keep radius >= 1e-9")
+            derived = {"fixes_origin": False, "avoids_origin": False}
+        else:
+            zero = np.flatnonzero(dom_radii == 0.0)
+            derived = {
+                "fixes_origin": len(zero) == 1 and bool(cod_radii[zero[0]] == 0.0),
+                "avoids_origin": bool(min(dom_radii.min(), cod_radii.min()) >= ORIGIN_GUARD),
+            }
+        for name, value in derived.items():
+            stated = getattr(self, name)
+            if stated is not None and stated != value:
+                raise HypothesisError(f"{name!r} says {stated}, but the samples say {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def n_pairs(self) -> int:
@@ -87,26 +91,6 @@ class SampledMap:
     def dim_out(self) -> int:
         return self.codomain.dim
 
-    def origin_index(self) -> int | None:
-        """Index of the exact-zero domain sample, if present."""
-        zero = np.flatnonzero(self.domain.radii() == 0.0)
-        return int(zero[0]) if len(zero) else None
-
-
-def validate_origin_hypothesis(m: SampledMap) -> None:
-    """Enforce the either-or origin hypothesis that inversion needs.
-
-    An affine map must either fix the origin (one (0,0) pair) or avoid
-    it entirely; anything else leaves the conjugation by inversion
-    undefined at some sample.
-    """
-    if m.ambient is not Ambient.AFFINE:
-        raise DomainError("origin hypothesis applies to affine-ambient maps")
-    if m.fixes_origin == m.avoids_origin:
-        raise HypothesisError(
-            "map must either fix the origin or avoid it (exactly one flag set)"
-        )
-
 
 def invert_map(m: SampledMap) -> SampledMap:
     """Conjugate a sampled map by inversion on both sides.
@@ -114,22 +98,26 @@ def invert_map(m: SampledMap) -> SampledMap:
     Every nonzero pair (x, y) becomes (invert(x), invert(y)).  An
     origin pair is dropped (inversion is undefined there); when the
     domain is declared unbounded a (0, 0) pair is appended, encoding the
-    bi-Lipschitz extension at 0.  Flags exchange roles: the result fixes
-    the origin iff the input was unbounded, and is unbounded iff the
+    bi-Lipschitz extension at 0.  So the result is unbounded iff the
     input fixed the origin.
 
     Raises:
-        HypothesisError: if the origin hypothesis fails, or a nonzero
-            sample maps to the origin.
+        HypothesisError: if the map neither fixes nor avoids the origin
+            (the message names the first row under ``ORIGIN_GUARD``), or
+            a nonzero sample maps to the origin.
     """
-    validate_origin_hypothesis(m)
-    dom = m.domain.points
-    cod = m.codomain.points
-    keep = np.ones(m.n_pairs, dtype=bool)
-    if m.fixes_origin:
-        keep[m.origin_index()] = False
-    dom = dom[keep]
-    cod = cod[keep]
+    if m.ambient is not Ambient.AFFINE:
+        raise DomainError("inversion applies to affine-ambient maps")
+    if not (m.fixes_origin or m.avoids_origin):
+        dom_radii, cod_radii = m.domain.radii(), m.codomain.radii()
+        row = int(np.argmax(np.minimum(dom_radii, cod_radii) < ORIGIN_GUARD))
+        raise HypothesisError(
+            f"row {row} has domain radius {dom_radii[row]:g} and codomain radius "
+            f"{cod_radii[row]:g}: inversion needs one (0, 0) pair or every radius >= {ORIGIN_GUARD:g}"
+        )
+    keep = m.domain.radii() > 0.0  # drops the origin pair, the only row at radius 0
+    dom = m.domain.points[keep]
+    cod = m.codomain.points[keep]
     if np.any(norms(cod) == 0.0):
         raise HypothesisError("a nonzero sample maps to the origin; inversion undefined")
     new_dom = invert(dom)
@@ -143,8 +131,6 @@ def invert_map(m: SampledMap) -> SampledMap:
     return SampledMap(
         domain=PointCloud(new_dom, label),
         codomain=PointCloud(new_cod, label),
-        fixes_origin=m.unbounded_domain,
-        avoids_origin=not m.unbounded_domain,
         unbounded_domain=m.fixes_origin,
         ambient=Ambient.AFFINE,
     )
@@ -169,8 +155,6 @@ def compactify_map(m: SampledMap) -> SampledMap:
     return SampledMap(
         domain=PointCloud(new_dom, label),
         codomain=PointCloud(new_cod, label),
-        fixes_origin=False,
-        avoids_origin=False,
         unbounded_domain=m.unbounded_domain,
         ambient=Ambient.SPHERE,
     )
@@ -180,9 +164,9 @@ def restrict_map(m: SampledMap, r_min: float, r_max: float) -> SampledMap:
     """Keep the pairs whose domain radius lies in [r_min, r_max).
 
     The half-open convention makes adjacent shells partition a map;
-    r_max = inf closes the upper end.  Flags are recomputed from the
-    surviving samples, except ``unbounded_domain`` which survives only
-    an unbounded restriction.
+    r_max = inf closes the upper end.  The surviving samples decide the
+    origin flags; ``unbounded_domain`` survives only an unbounded
+    restriction.
 
     Raises:
         EmptyRestriction: if fewer than two pairs survive.
@@ -198,19 +182,10 @@ def restrict_map(m: SampledMap, r_min: float, r_max: float) -> SampledMap:
         keep = (radii >= r_min) & (radii < r_max)
     if int(keep.sum()) < 2:
         raise EmptyRestriction(f"shell [{r_min}, {r_max}) keeps {int(keep.sum())} pairs")
-    dom = m.domain.points[keep]
-    cod = m.codomain.points[keep]
-    dom_radii = radii[keep]
-    cod_radii = norms(cod)
-    zero = np.flatnonzero(dom_radii == 0.0)
-    fixes = len(zero) == 1 and cod_radii[zero[0]] == 0.0
-    avoids = not fixes and min(dom_radii.min(), cod_radii.min()) >= ORIGIN_GUARD
     label = m.domain.label
     return SampledMap(
-        domain=PointCloud(dom, label),
-        codomain=PointCloud(cod, label),
-        fixes_origin=fixes,
-        avoids_origin=bool(avoids),
+        domain=PointCloud(m.domain.points[keep], label),
+        codomain=PointCloud(m.codomain.points[keep], label),
         unbounded_domain=m.unbounded_domain and bool(np.isinf(r_max)),
         ambient=Ambient.AFFINE,
     )
@@ -292,20 +267,14 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
             probes.append(probe_r * np.asarray(u, dtype=np.float64))
             probes.append(-probe_r * np.asarray(u, dtype=np.float64))
         dom = np.vstack([dom, np.array(probes)])
-    with_origin = f.fixes_origin and f.domain_radii[0] == 0.0
-    if with_origin:
+    if f.fixes_origin and f.domain_radii[0] == 0.0:
         dom = np.vstack([dom, np.zeros(f.dim_in)])
     cod = np.asarray(f.func(dom), dtype=np.float64)
     if cod.shape != (len(dom), f.dim_out) or not np.all(np.isfinite(cod)):
         raise DomainError(f"evaluator of {f.name} returned a malformed image")
-    dom_radii = norms(dom)
-    cod_radii = norms(cod)
-    avoids = not with_origin and min(dom_radii.min(), cod_radii.min()) >= ORIGIN_GUARD
     return SampledMap(
         domain=PointCloud(dom, f.name),
         codomain=PointCloud(cod, f"{f.name} image"),
-        fixes_origin=with_origin,
-        avoids_origin=bool(avoids),
         unbounded_domain=bool(np.isinf(f.domain_radii[1])),
         ambient=Ambient.AFFINE,
     )

@@ -2,8 +2,8 @@
 
 Coordinates are written with repr, Python's shortest round-trip float
 format, so save followed by load reproduces every value bit for bit.
-Sampled maps carry a JSON sidecar next to the CSV with the shape and
-flag metadata the CSV cannot hold.
+Sampled maps carry a JSON sidecar next to the CSV with the metadata the
+CSV cannot hold; it restates the origin flags, which the samples decide.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import HypothesisError, ParseError
 from .geometry import PointCloud
 from .maps import Ambient, SampledMap
 
@@ -164,16 +164,20 @@ def load_map(path) -> SampledMap:
         return None if header == _map_header(q1, q2) else f"header does not match q1={q1}, q2={q2}"
 
     table = _read_table(path, header_error)
-    # contiguous copies: a strided view would be copied again by every
-    # geometry call on it, which wants C-ordered rows
-    return SampledMap(
-        domain=PointCloud(table[:, :q1].copy(), path.stem),
-        codomain=PointCloud(table[:, q1:].copy(), f"{path.stem} image"),
-        fixes_origin=meta["fixes_origin"],
-        avoids_origin=meta["avoids_origin"],
-        unbounded_domain=meta["unbounded_domain"],
-        ambient=ambient,
-    )
+    try:
+        # contiguous copies: a strided view would be copied again by every
+        # geometry call on it, which wants C-ordered rows
+        return SampledMap(
+            domain=PointCloud(table[:, :q1].copy(), path.stem),
+            codomain=PointCloud(table[:, q1:].copy(), f"{path.stem} image"),
+            fixes_origin=meta["fixes_origin"],
+            avoids_origin=meta["avoids_origin"],
+            unbounded_domain=meta["unbounded_domain"],
+            ambient=ambient,
+        )
+    except HypothesisError as exc:
+        # the samples decide the origin flags; a sidecar only restates them
+        raise HypothesisError(f"{side} field {exc}") from None
 
 
 def dumps_report(payload: dict) -> str:

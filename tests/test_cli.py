@@ -16,7 +16,7 @@ import pytest
 
 import bilip
 from bilip.cli import main
-from bilip.serialize import load_cloud, load_map
+from bilip.serialize import load_cloud, load_map, sidecar_path
 from cli_runner import run_cli, run_python
 
 
@@ -35,6 +35,16 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def write_map(path, rows, fixes_origin=False, avoids_origin=False):
+    """A bounded affine 2-d map file with the given data rows and sidecar flags."""
+    path.write_text("x1,x2,y1,y2\n" + rows)
+    meta = {
+        "q1": 2, "q2": 2, "fixes_origin": fixes_origin, "avoids_origin": avoids_origin,
+        "unbounded_domain": False, "ambient": "Affine",
+    }
+    sidecar_path(path).write_text(json.dumps(meta))
 
 
 def make_scaling(tmp_path, factor="2", n="40", name="scale.csv"):
@@ -83,6 +93,34 @@ class TestGoldenInversion:
         out = run_cli("invert", "bad.csv", "--output", "nope.csv", cwd=tmp_path)
         assert out.returncode == 3
         assert "hypothesis" in out.stderr.lower()
+        assert "row 0 has domain radius 0 and codomain radius 5" in out.stderr
+
+    def test_far_sample_of_a_bounded_map_inverts_under_the_guard(self, tmp_path):
+        # the inverted far sample sits at radius 1e-10: the result neither fixes nor avoids 0
+        write_map(tmp_path / "far.csv", "1.0,0.0,2.0,0.0\n1e10,0.0,2e10,0.0\n", avoids_origin=True)
+        out = run_cli("invert", "far.csv", "--output", "inv.csv", cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        meta = json.loads((tmp_path / "inv.csv.meta.json").read_text())
+        assert (meta["fixes_origin"], meta["avoids_origin"]) == (False, False)
+        out = run_cli("invert", "inv.csv", "--output", "back.csv", cwd=tmp_path)
+        assert out.returncode == 3
+        assert "row 1 has domain radius 1e-10 and codomain radius 5e-11" in out.stderr
+        assert not (tmp_path / "back.csv").exists()
+
+    # sidecar flags that are wrong in exactly one field, either way round
+    @pytest.mark.parametrize("rows, fixes, avoids, field", [
+        ("0.0,0.0,0.0,0.0\n1.0,0.0,2.0,0.0\n", False, False, "fixes_origin"),
+        ("1.0,0.0,2.0,0.0\n3.0,0.0,6.0,0.0\n", True, True, "fixes_origin"),
+        ("1.0,0.0,2.0,0.0\n3.0,0.0,6.0,0.0\n", False, False, "avoids_origin"),
+        ("1e-10,0.0,2.0,0.0\n3.0,0.0,6.0,0.0\n", False, True, "avoids_origin"),
+    ], ids=["fixes-unsaid", "fixes-false-claim", "avoids-unsaid", "avoids-false-claim"])
+    def test_sidecar_contradicting_its_samples_exits_3(self, tmp_path, rows, fixes, avoids, field):
+        write_map(tmp_path / "m.csv", rows, fixes_origin=fixes, avoids_origin=avoids)
+        stated = {"fixes_origin": fixes, "avoids_origin": avoids}[field]
+        out = run_cli("distortion", "m.csv", cwd=tmp_path)
+        assert out.returncode == 3
+        assert f"m.csv.meta.json field '{field}' says {stated}, but the samples say {not stated}" in out.stderr
+        assert out.stdout == ""
 
     def test_cloud_inversion(self, tmp_path):
         assert run_cli(
@@ -153,6 +191,17 @@ class TestDistortion:
         assert out.returncode == 2
         assert "need at least one sampled pair" in out.stderr
 
+    @pytest.mark.parametrize("options", [
+        ["--pairs", "0", "--seed", "9"], ["--seed", "9"], ["--strategy", "all", "--pairs", "5"],
+    ], ids=["pairs-and-seed", "seed", "explicit-all"])
+    def test_random_options_without_random_strategy_exit_2(self, tmp_path, capsys, options):
+        # checked before the input is read: the file does not exist
+        assert main(["distortion", str(tmp_path / "ghost.csv"), *options]) == 2
+        captured = capsys.readouterr()
+        option = next(o for o in options if o in ("--pairs", "--seed"))
+        assert f"usage error: {option} applies only to --strategy random" in captured.err
+        assert captured.out == ""
+
 
 class TestCones:
     def test_ray_exchange_and_directions_file(self, tmp_path):
@@ -209,6 +258,17 @@ class TestCones:
         out = run_cli("cones", "ray.csv", "--band", "0.1", cwd=tmp_path)
         assert out.returncode == 2
         assert "--band needs --shell" in out.stderr
+
+    @pytest.mark.parametrize("option, value, reason", [
+        ("--band", "0.1", "needs --shell to place the link slice"),
+        ("--shell", "0.5:2", "needs --band to set the width of the link slice"),
+    ], ids=["band", "shell"])
+    def test_half_a_link_slice_exits_2_before_any_work(self, tmp_path, capsys, option, value, reason):
+        # checked before the input is read: the file does not exist
+        assert main(["cones", str(tmp_path / "ghost.csv"), option, value]) == 2
+        captured = capsys.readouterr()
+        assert f"usage error: {option} {reason}" in captured.err
+        assert captured.out == ""
 
 
 class TestVerifyCommand:

@@ -9,11 +9,11 @@ from bilip.distortion import AllPairs, SeededRandom, estimate_bilip, radial_comp
 from bilip.maps import SampledMap, SamplerConfig, compactify_map, invert_map, registry, sample_analytic
 
 
-def make_map(domain, codomain, **flags) -> SampledMap:
+def make_map(domain, codomain, **options) -> SampledMap:
     return SampledMap(
         domain=PointCloud(np.asarray(domain, dtype=float)),
         codomain=PointCloud(np.asarray(codomain, dtype=float)),
-        **flags,
+        **options,
     )
 
 
@@ -27,14 +27,14 @@ def random_cloud(seed: int, n: int, q: int, lo: float = 0.1, hi: float = 10.0) -
 class TestEstimate:
     def test_identity_constant_one(self):
         pts = random_cloud(1, 50, 3)
-        rep = estimate_bilip(make_map(pts, pts, avoids_origin=True))
+        rep = estimate_bilip(make_map(pts, pts))
         assert rep.l_expand == 1.0
         assert rep.l_contract == 1.0
         assert rep.bilip_constant == 1.0
 
     def test_doubling_frozen(self):
         pts = random_cloud(2, 40, 2)
-        rep = estimate_bilip(make_map(pts, 2.0 * pts, avoids_origin=True))
+        rep = estimate_bilip(make_map(pts, 2.0 * pts))
         assert rep.l_expand == pytest.approx(2.0, rel=1e-15)
         assert rep.l_contract == pytest.approx(0.5, rel=1e-15)
         assert rep.bilip_constant == pytest.approx(2.0, rel=1e-15)
@@ -42,7 +42,7 @@ class TestEstimate:
     def test_consistency_invariant(self):
         pts = random_cloud(3, 60, 2)
         shear = pts @ np.array([[1.0, 0.0], [0.5, 1.0]]).T
-        rep = estimate_bilip(make_map(pts, shear, avoids_origin=True))
+        rep = estimate_bilip(make_map(pts, shear))
         assert rep.l_expand >= 1.0 / rep.l_contract * (1.0 - 1e-12)
         assert rep.bilip_constant >= 1.0
 
@@ -58,7 +58,7 @@ class TestEstimate:
     def test_all_pairs_cap_enforced(self):
         pts = random_cloud(5, 2001, 2)
         with pytest.raises(DomainError, match="2001 samples exceed the all-pairs cap 2000"):
-            estimate_bilip(make_map(pts, pts, avoids_origin=True), AllPairs())
+            estimate_bilip(make_map(pts, pts), AllPairs())
 
     def test_coincident_pairs_skipped_and_counted(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -94,7 +94,7 @@ class TestEstimate:
 
     def test_seeded_random_deterministic(self):
         pts = random_cloud(6, 500, 3)
-        m = make_map(pts, 2.0 * pts, avoids_origin=True)
+        m = make_map(pts, 2.0 * pts)
         a = estimate_bilip(m, SeededRandom(samples=10_000, seed=42))
         b = estimate_bilip(m, SeededRandom(samples=10_000, seed=42))
         assert a == b
@@ -103,7 +103,7 @@ class TestEstimate:
         from bilip.maps import compactify_map
 
         pts = random_cloud(7, 30, 2)
-        m = compactify_map(make_map(pts, pts, avoids_origin=True, unbounded_domain=True))
+        m = compactify_map(make_map(pts, pts, unbounded_domain=True))
         rep = estimate_bilip(m)
         assert rep.bilip_constant == 1.0
 
@@ -114,7 +114,7 @@ class TestProperties:
         cod = pts @ np.array([[1.0, 0.0], [0.5, 1.0]]).T
         prev_expand = prev_contract = 0.0
         for n in (10, 20, 40, 80):
-            rep = estimate_bilip(make_map(pts[:n], cod[:n], avoids_origin=True))
+            rep = estimate_bilip(make_map(pts[:n], cod[:n]))
             assert rep.l_expand >= prev_expand
             assert rep.l_contract >= prev_contract
             prev_expand, prev_contract = rep.l_expand, rep.l_contract
@@ -122,16 +122,16 @@ class TestProperties:
     def test_symmetry_swap(self):
         pts = random_cloud(9, 60, 2)
         cod = pts @ np.array([[2.0, 0.0], [0.0, 0.5]]).T
-        fwd = estimate_bilip(make_map(pts, cod, avoids_origin=True))
-        bwd = estimate_bilip(make_map(cod, pts, avoids_origin=True))
+        fwd = estimate_bilip(make_map(pts, cod))
+        bwd = estimate_bilip(make_map(cod, pts))
         assert fwd.l_expand == bwd.l_contract
         assert fwd.l_contract == bwd.l_expand
 
     def test_scale_equivariance(self):
         pts = random_cloud(10, 50, 3)
         cod = 1.7 * pts
-        base = estimate_bilip(make_map(pts, cod, avoids_origin=True))
-        scaled = estimate_bilip(make_map(3.0 * pts, cod, avoids_origin=True))
+        base = estimate_bilip(make_map(pts, cod))
+        scaled = estimate_bilip(make_map(3.0 * pts, cod))
         assert scaled.l_contract == pytest.approx(3.0 * base.l_contract, rel=1e-12)
         assert scaled.l_expand == pytest.approx(base.l_expand / 3.0, rel=1e-12)
 
@@ -148,19 +148,19 @@ class TestProperties:
 class TestRadial:
     def test_identity(self):
         pts = random_cloud(13, 30, 2)
-        rep = radial_comparability(make_map(pts, pts, avoids_origin=True))
+        rep = radial_comparability(make_map(pts, pts))
         assert rep.max_ratio == rep.min_ratio == 1.0
 
     def test_doubling(self):
         pts = random_cloud(14, 30, 2)
-        rep = radial_comparability(make_map(pts, 2.0 * pts, avoids_origin=True))
+        rep = radial_comparability(make_map(pts, 2.0 * pts))
         assert rep.max_ratio == pytest.approx(2.0, rel=1e-15)
         assert rep.min_ratio == pytest.approx(2.0, rel=1e-15)
 
     def test_origin_pair_skipped(self):
         dom = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         cod = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
-        rep = radial_comparability(make_map(dom, cod, fixes_origin=True))
+        rep = radial_comparability(make_map(dom, cod))
         assert rep.points == 2
 
     def test_inverted_shear_within_cube_sandwich(self):
@@ -205,7 +205,6 @@ class TestCompareCompactified:
         m = make_map(
             [[-1.0], [0.0], [1.0]],
             [[-1.0], [0.0], [1.0]],
-            fixes_origin=True,
             unbounded_domain=True,
         )
         original, compactified = estimate_bilip(m), estimate_bilip(compactify_map(m))

@@ -13,6 +13,7 @@ from bilip.geometry import (
     ORIGIN_EPSILON,
     POLE_EPSILON,
     PointCloud,
+    dot_rows,
     inversion_derivative_norm,
     invert,
     inverted_distance_residual,
@@ -292,6 +293,7 @@ class TestBatchContract:
         (separation_bounds, ([[1.0, 0.0]], [[3.0, 0.0]])),
         (inverted_distance_residual, ([[1.0, 0.0]], [[2.0, 0.0]])),
         (law_of_cosines_residual, ([[1.0, 0.0]], [[0.0, 1.0]])),
+        (dot_rows, ([[1.0, 0.0]], [[0.0, 1.0]])),
     ]
 
     @pytest.mark.parametrize("fn, stacks", ONE_ROW_CALLS, ids=[fn.__name__ for fn, _ in ONE_ROW_CALLS])
@@ -352,9 +354,11 @@ class TestBatchContract:
 
     def test_mismatched_shapes_rejected(self):
         good = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
-        for fn in (inverted_distance_residual, law_of_cosines_residual):
+        for fn in (inverted_distance_residual, law_of_cosines_residual, dot_rows):
             with pytest.raises(DomainError, match="share a shape"):
                 fn(good, good[:2])
+            with pytest.raises(DomainError, match=r"share a shape, got \(3, 2\) and \(1, 2\)"):
+                fn(good, good[:1])  # one row must not broadcast against three
             with pytest.raises(DomainError, match="share a shape"):
                 fn([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
         with pytest.raises(DomainError, match="share a shape"):

@@ -19,12 +19,16 @@ from bilip.maps import (
 )
 
 
-def make_map(domain, codomain, **flags) -> SampledMap:
+def make_map(domain, codomain, **options) -> SampledMap:
     return SampledMap(
         domain=PointCloud(np.asarray(domain, dtype=float)),
         codomain=PointCloud(np.asarray(codomain, dtype=float)),
-        **flags,
+        **options,
     )
+
+
+def zero_rows(m: SampledMap) -> list[int]:
+    return np.flatnonzero(m.domain.radii() == 0.0).tolist()
 
 
 def sorted_rows(a: np.ndarray) -> np.ndarray:
@@ -43,34 +47,28 @@ class TestSampledMapValidation:
                 codomain=PointCloud(np.array([[1.0, 0.0]])),
             )
 
-    def test_fixes_origin_requires_zero_pair(self):
-        with pytest.raises(HypothesisError):
-            make_map([[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]], fixes_origin=True)
+    # (domain, codomain, ambient, fixes_origin, avoids_origin)
+    DERIVED_FLAGS = {
+        "origin-pair": ([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [4.0, 0.0]], Ambient.AFFINE, True, False),
+        "zero-maps-off": ([[0.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [4.0, 0.0]], Ambient.AFFINE, False, False),
+        "two-zero-rows": ([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [4.0, 0.0]],
+                          Ambient.AFFINE, False, False),
+        "radius-1e-10": ([[1e-10, 0.0], [2.0, 0.0]], [[1.0, 0.0], [4.0, 0.0]], Ambient.AFFINE, False, False),
+        "clearance": ([[1e-9, 0.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 1e-9]], Ambient.AFFINE, False, True),
+        "sphere": ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]], Ambient.SPHERE, False, False),
+    }
 
-    def test_fixes_origin_requires_zero_image(self):
-        with pytest.raises(HypothesisError):
-            make_map(
-                [[0.0, 0.0], [2.0, 0.0]],
-                [[1.0, 0.0], [4.0, 0.0]],
-                fixes_origin=True,
-            )
-
-    def test_avoids_origin_requires_clearance(self):
-        with pytest.raises(HypothesisError):
-            make_map(
-                [[1e-10, 0.0], [2.0, 0.0]],
-                [[1e-10, 0.0], [2.0, 0.0]],
-                avoids_origin=True,
-            )
-
-    def test_flags_mutually_exclusive(self):
-        with pytest.raises(HypothesisError):
-            make_map(
-                [[0.0, 0.0], [2.0, 0.0]],
-                [[0.0, 0.0], [4.0, 0.0]],
-                fixes_origin=True,
-                avoids_origin=True,
-            )
+    @pytest.mark.parametrize("case", DERIVED_FLAGS)
+    def test_samples_decide_the_origin_flags(self, case):
+        dom, cod, ambient, fixes, avoids = self.DERIVED_FLAGS[case]
+        m = make_map(dom, cod, ambient=ambient)
+        assert (m.fixes_origin, m.avoids_origin) == (fixes, avoids)
+        # a statement of the derived value is accepted; its negation names the field
+        stated = make_map(dom, cod, ambient=ambient, fixes_origin=fixes, avoids_origin=avoids)
+        assert (stated.fixes_origin, stated.avoids_origin) == (fixes, avoids)
+        for name, value in (("fixes_origin", fixes), ("avoids_origin", avoids)):
+            with pytest.raises(HypothesisError, match=f"'{name}' says {not value}, but the samples say {value}"):
+                make_map(dom, cod, ambient=ambient, **{name: not value})
 
     def test_sphere_ambient_checks_membership(self):
         with pytest.raises(DomainError):
@@ -87,7 +85,6 @@ class TestInvertMap:
         m = make_map(
             [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]],
             [[2.0, 0.0], [4.0, 0.0], [0.0, 0.0]],
-            fixes_origin=True,
             unbounded_domain=True,
         )
         out = invert_map(m)
@@ -102,7 +99,7 @@ class TestInvertMap:
     def test_identity_stays_identity(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(20, 3)) + 5.0
-        m = make_map(pts, pts, avoids_origin=True)
+        m = make_map(pts, pts)
         out = invert_map(m)
         assert out.domain.points == pytest.approx(out.codomain.points)
 
@@ -110,7 +107,7 @@ class TestInvertMap:
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(30, 2)) * 3.0
         pts = pts[np.linalg.norm(pts, axis=1) > 0.1]
-        m = make_map(pts, 2.0 * pts, avoids_origin=True)
+        m = make_map(pts, 2.0 * pts)
         back = invert_map(invert_map(m))
         assert sorted_rows(back.domain.points) == pytest.approx(
             sorted_rows(m.domain.points), rel=1e-10
@@ -123,7 +120,6 @@ class TestInvertMap:
         m = make_map(
             [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
             [[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]],
-            fixes_origin=True,
             unbounded_domain=False,
         )
         out = invert_map(m)
@@ -132,8 +128,8 @@ class TestInvertMap:
         assert out.unbounded_domain
 
     def test_requires_origin_hypothesis(self):
-        m = make_map([[1e-10, 0.0], [2.0, 0.0]], [[1e-10, 0.0], [4.0, 0.0]])
-        with pytest.raises(HypothesisError):
+        m = make_map([[2.0, 0.0], [1e-10, 0.0]], [[4.0, 0.0], [1e-10, 0.0]])
+        with pytest.raises(HypothesisError, match="row 1 has domain radius 1e-10 and codomain radius 1e-10"):
             invert_map(m)
 
     def test_rejects_zero_image(self):
@@ -141,7 +137,6 @@ class TestInvertMap:
         m = make_map(
             [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
             [[0.0, 0.0], [0.0, 0.0], [4.0, 0.0]],
-            fixes_origin=True,
         )
         with pytest.raises(HypothesisError):
             invert_map(m)
@@ -152,7 +147,6 @@ class TestCompactifyMap:
         m = make_map(
             [[-1.0], [0.0], [1.0]],
             [[-1.0], [0.0], [1.0]],
-            fixes_origin=True,
             unbounded_domain=True,
         )
         out = compactify_map(m)
@@ -162,7 +156,7 @@ class TestCompactifyMap:
         assert out.ambient is Ambient.SPHERE
 
     def test_golden_doubling(self):
-        m = make_map([[1.0], [2.0]], [[2.0], [4.0]], avoids_origin=True)
+        m = make_map([[1.0], [2.0]], [[2.0], [4.0]])
         out = compactify_map(m)
         assert out.domain.points == pytest.approx(
             np.array([[1.0, 0.0], [0.8, 0.6]]), rel=1e-14
@@ -173,7 +167,7 @@ class TestCompactifyMap:
         assert out.n_pairs == 2  # bounded: no pole pair
 
     def test_pole_pair_only_when_unbounded(self):
-        m = make_map([[1.0], [2.0]], [[2.0], [4.0]], avoids_origin=True, unbounded_domain=True)
+        m = make_map([[1.0], [2.0]], [[2.0], [4.0]], unbounded_domain=True)
         out = compactify_map(m)
         assert out.n_pairs == 3
         assert out.domain.points[-1] == pytest.approx([0.0, 1.0])
@@ -193,7 +187,6 @@ class TestRestrictMap:
         return make_map(
             [[0.5, 0.0], [1.0, 0.0], [2.0, 0.0]],
             [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]],
-            avoids_origin=True,
         )
 
     def test_noop(self):
@@ -209,7 +202,6 @@ class TestRestrictMap:
         m = make_map(
             [[0.25, 0.0], [0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [4.0, 0.0]],
             [[0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [4.0, 0.0], [8.0, 0.0]],
-            avoids_origin=True,
         )
         lower = restrict_map(m, 0.0, 1.0)
         upper = restrict_map(m, 1.0, np.inf)
@@ -221,7 +213,6 @@ class TestRestrictMap:
         m = make_map(
             [[0.5, 0.0], [1.0, 0.0], [2.0, 0.0]],
             [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]],
-            avoids_origin=True,
             unbounded_domain=True,
         )
         assert restrict_map(m, 0.0, 3.0).unbounded_domain is False
@@ -231,7 +222,6 @@ class TestRestrictMap:
         m = make_map(
             [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
             [[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]],
-            fixes_origin=True,
         )
         out = restrict_map(m, 0.0, 1.5)
         assert out.fixes_origin
@@ -262,7 +252,7 @@ class TestSampler:
     def test_radius_range_and_distribution(self):
         f = scaling_analytic(2.0)
         m = sample_analytic(f, SamplerConfig(count=2000, r_min=0.01, r_max=100.0, seed=5))
-        assert m.origin_index() == 2000
+        assert zero_rows(m) == [2000]
         r = m.domain.radii()[:2000]
         assert r.min() >= 0.01 and r.max() <= 100.0
         # log-uniform: the median log-radius sits near the middle
@@ -287,7 +277,7 @@ class TestSampler:
         f = scaling_analytic(2.0)
         m = sample_analytic(f, SamplerConfig(count=10, r_min=0.1, r_max=1.0, seed=1))
         assert m.fixes_origin
-        assert m.origin_index() == 10
+        assert zero_rows(m) == [10]
         assert np.array_equal(m.codomain.points[10], np.zeros(2))
 
     def test_singular_probes_appended(self):
@@ -320,7 +310,7 @@ class TestSampler:
         for name, (probes, origin, unbounded) in self.POLICY.items():
             m = sample_analytic(reg[name], SamplerConfig(count=10, r_min=1.0, r_max=1.5, seed=1))
             assert m.n_pairs == 10 + probes + origin, name
-            assert m.origin_index() == (10 + probes if origin else None), name
+            assert zero_rows(m) == ([10 + probes] if origin else []), name
             assert m.fixes_origin == origin and m.avoids_origin == (not origin), name
             assert m.unbounded_domain == unbounded, name
 

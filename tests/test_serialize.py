@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -38,9 +39,21 @@ def sample_map(unbounded=True) -> SampledMap:
     return SampledMap(
         domain=PointCloud(dom, "doubling"),
         codomain=PointCloud(cod, "doubling image"),
-        fixes_origin=True,
         unbounded_domain=unbounded,
     )
+
+
+# row radii at 0, well under the 1e-9 origin guard, or well over it
+FLAG_SCALES = st.sampled_from([0.0, 1e-10, 1.0, 3e5])
+
+
+def reference_flags(dom: list, cod: list) -> tuple[bool, bool]:
+    """(fixes_origin, avoids_origin) from row lists, one radius per row by math.hypot."""
+    dom_radii = [math.hypot(*row) for row in dom]
+    cod_radii = [math.hypot(*row) for row in cod]
+    zero = [i for i, r in enumerate(dom_radii) if r == 0.0]
+    fixes = len(zero) == 1 and cod_radii[zero[0]] == 0.0
+    return fixes, min(dom_radii + cod_radii) >= 1e-9
 
 
 TABLE_HEADERS = {"cloud": "x1,x2", "map": "x1,y1"}
@@ -205,6 +218,25 @@ class TestMap:
         sidecar_path(path).write_text(json.dumps(meta))
         with pytest.raises(ParseError):
             load_map(path)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_samples_decide_the_flags_through_a_round_trip(self, data):
+        def stack(q):
+            direction = st.lists(st.sampled_from([-1.0, 0.5, 1.0]), min_size=q, max_size=q)
+            rows = data.draw(st.lists(st.tuples(FLAG_SCALES, direction), min_size=n, max_size=n))
+            return np.array([[scale * c for c in row] for scale, row in rows])
+
+        n = data.draw(st.integers(2, 4))
+        dom, cod = stack(data.draw(st.integers(1, 3))), stack(data.draw(st.integers(1, 3)))
+        m = SampledMap(PointCloud(dom), PointCloud(cod), unbounded_domain=data.draw(st.booleans()))
+        assert (m.fixes_origin, m.avoids_origin) == reference_flags(dom.tolist(), cod.tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "m.csv"
+            save_map(m, path)
+            back = load_map(path)
+        assert (back.fixes_origin, back.avoids_origin, back.unbounded_domain) == (
+            m.fixes_origin, m.avoids_origin, m.unbounded_domain)
 
     @pytest.mark.parametrize("key, bad", [
         ("q1", 2.9),
