@@ -21,7 +21,6 @@ from .cones import (
     ConeKind,
     DirectionSet,
     ExchangeResiduals,
-    LinkSlice,
     angular_hausdorff,
     asymptotic_directions,
     link,
@@ -90,7 +89,6 @@ __all__ = [
     "ExchangeResiduals",
     "HypothesisError",
     "InsufficientPoints",
-    "LinkSlice",
     "OriginError",
     "ParseError",
     "PointCloud",

@@ -14,6 +14,7 @@ usage error, 3 origin-hypothesis violation, 4 degenerate data.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 
 import numpy as np
@@ -67,6 +68,22 @@ def _shell_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed {text!r} is not a non-negative integer")
+    return int(text)
+
+
+def _band(text: str) -> float:
+    try:
+        band = float(text)
+    except ValueError:
+        band = float("nan")
+    if not 0.0 <= band < 1.0:
+        raise argparse.ArgumentTypeError(f"band {text!r} is not a number in [0, 1)")
+    return band
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bilip",
@@ -89,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("all", "random"), default="all")
     p.add_argument("--pairs", type=int, default=None,
                    help=f"random-strategy sample count (default {DEFAULT_RANDOM_PAIRS})")
-    p.add_argument("--seed", type=int, default=None, help="random-strategy seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=None, help="random-strategy seed (default 0)")
     p.add_argument("--shell", type=_shell_range, default=None, metavar="R_MIN:R_MAX")
     p.add_argument("--output", default=None, help="report path (stdout when absent)")
     p.set_defaults(func=cmd_distortion)
@@ -97,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cones", help="asymptotic directions and the inversion exchange")
     p.add_argument("input")
     p.add_argument("--fraction", type=float, default=0.1)
-    p.add_argument("--band", type=float, default=None, help="log half-width for a link slice")
+    p.add_argument("--band", type=_band, default=None, help="log half-width for a link slice")
     p.add_argument("--shell", type=_shell_range, default=None, metavar="R_MIN:R_MAX",
                    help="link radius range; the slice sits at its geometric mean")
     p.add_argument("--directions", default=None, help="write AtInfinity directions as cloud CSV")
@@ -106,10 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("suite", choices=("all",) + verify.SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--pairs", type=int, default=None,
                    help="pair count for the identity sweeps (default 2000)")
-    p.add_argument("--tolerance", type=float, default=None, help="override the residual gate")
     p.add_argument("--renormalize-beta", action="store_true",
                    help="gate the renormalized near-pole chart instead of only reporting it")
     p.add_argument("--output", default=None, help="report path (stdout when absent)")
@@ -119,12 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixture", help="ray | shifted-line | spiral | scaling | non-example | registry name")
     p.add_argument("--dim", type=int, default=None, help="dimension of ray and scaling (default 2)")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=None, help="seed of ray and the maps (default 0)")
     p.add_argument("--lambda", dest="scale_factor", type=float, default=None,
                    help="factor for the scaling fixture")
-    p.add_argument("--tmax", type=float, default=None,
-                   help="largest parameter of the shifted line (default 1000)")
-    p.add_argument("--shell", type=_shell_range, default=(1e-2, 1e2), metavar="R_MIN:R_MAX")
+    p.add_argument("--shell", type=_shell_range, default=None, metavar="R_MIN:R_MAX",
+                   help="radius range, or t range of shifted-line (default 0.01:100, shifted-line 1:1000)")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
     return parser
@@ -248,11 +263,10 @@ def cmd_cones(args) -> tuple[dict, int]:
     if args.band is not None:
         lo, hi = args.shell
         radius = float(np.sqrt(lo * hi))
-        slice_ = link(cloud, radius, args.band)
         payload["link"] = {
             "radius": radius,
             "band": args.band,
-            "count": len(slice_.indices),
+            "count": len(link(cloud, radius, args.band)),
         }
     if args.directions is not None:
         save_cloud(PointCloud(at_infinity.directions, "directions"), args.directions)
@@ -268,14 +282,11 @@ def cmd_verify(args) -> tuple[dict, int]:
         ("--renormalize-beta", "renormalize_beta", identities, reason),
     ))
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    suites = []
-    for name in names:
-        kwargs = {} if args.tolerance is None else {"tolerance": args.tolerance}
-        if name == "identities":
-            if args.pairs is not None:
-                kwargs["pairs"] = args.pairs
-            kwargs["gate_renormalized_chart"] = args.renormalize_beta
-        suites.append(verify.run_suite(name, seed=args.seed, **kwargs))
+    options = {"gate_renormalized_chart": args.renormalize_beta}
+    if args.pairs is not None:
+        options["pairs"] = args.pairs
+    suites = [verify.run_suite(name, seed=args.seed, **(options if name == "identities" else {}))
+              for name in names]
     passed = all(s["passed"] for s in suites)
     payload = {"command": "verify", "passed": passed, "suites": suites}
     if not passed:
@@ -294,17 +305,14 @@ def cmd_generate(args) -> tuple[dict, int]:
     _reject_unread(args, (
         ("--dim", "dim", name in ("ray", "scaling"), f"applies only to ray and scaling, not to {name}"),
         ("--lambda", "scale_factor", name == "scaling", f"applies only to scaling, not to {name}"),
-        ("--tmax", "tmax", name == "shifted-line", f"applies only to shifted-line, not to {name}"),
+        ("--seed", "seed", name not in ("spiral", "shifted-line"),
+         f"applies only to ray and the sampled maps, not to {name}"),
     ))
     dim = 2 if args.dim is None else args.dim
-    lo, hi = args.shell
+    seed = args.seed or 0
+    lo, hi = args.shell or ((1.0, 1e3) if name == "shifted-line" else (1e-2, 1e2))
     if name in fixtures.CLOUD_KINDS:
-        if name == "shifted-line":
-            t_max = 1000.0 if args.tmax is None else args.tmax
-            cloud = fixtures.shifted_line(count=args.n, t_min=max(lo, 1.0), t_max=t_max)
-        else:
-            cloud = fixtures.cloud(name, dim=dim, count=args.n, seed=args.seed,
-                                   r_min=lo, r_max=hi)
+        cloud = fixtures.cloud(name, dim=dim, count=args.n, seed=seed, r_min=lo, r_max=hi)
         save_cloud(cloud, args.output)
         return {
             "command": "generate",
@@ -316,10 +324,10 @@ def cmd_generate(args) -> tuple[dict, int]:
         if args.scale_factor is None:
             raise ParseError("generate scaling needs --lambda")
         f = scaling_analytic(args.scale_factor, dim=dim)
-        m = sample_analytic(f, SamplerConfig(args.n, lo, hi, args.seed))
+        m = sample_analytic(f, SamplerConfig(args.n, lo, hi, seed))
     else:
         member = "radial-square" if name == "non-example" else name
-        m = fixtures.map_samples(member, count=args.n, seed=args.seed, r_min=lo, r_max=hi)
+        m = fixtures.map_samples(member, count=args.n, seed=seed, r_min=lo, r_max=hi)
     save_map(m, args.output)
     return {
         "command": "generate",
@@ -333,8 +341,13 @@ def cmd_generate(args) -> tuple[dict, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    report_path = args.output if args.command in ("distortion", "cones", "verify") else None
     try:
         payload, code = args.func(args)
+        text = dumps_report(payload)
+        if report_path is not None:
+            with open(report_path, "w") as fh:
+                fh.write(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -347,18 +360,17 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except FileNotFoundError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a command reads only its input and that file's sidecar; every other path it writes
+        source = getattr(args, "input", None)
+        read = source is not None and exc.filename is not None and (
+            pathlib.Path(exc.filename) in (pathlib.Path(source), sidecar_path(source)))
+        print(f"cannot {'read input' if read else 'write output'}: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except BilipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    text = dumps_report(payload)
-    output = getattr(args, "output", None)
-    if args.command in ("distortion", "cones", "verify") and output is not None:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
+    if report_path is None:
         sys.stdout.write(text)
     return code
 

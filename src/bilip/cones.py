@@ -36,7 +36,6 @@ class DirectionSet:
 
     directions: np.ndarray
     source_radii: np.ndarray
-    kind: ConeKind
 
     def __post_init__(self) -> None:
         dirs = np.asarray(self.directions, dtype=np.float64)
@@ -54,26 +53,6 @@ class DirectionSet:
     @property
     def dim(self) -> int:
         return int(self.directions.shape[1])
-
-
-@dataclasses.dataclass(frozen=True)
-class LinkSlice:
-    """The samples lying in a radial band around one radius.
-
-    ``indices`` point back into the source cloud, so slice identities
-    (such as the exchange with inversion) are testable as set equalities.
-    """
-
-    points: PointCloud
-    radius: float
-    band: float
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = self.points.radii()
-        off = np.abs(np.log(r) - math.log(self.radius))
-        if np.max(off) > self.band + _BAND_SLACK:
-            raise DomainError("slice member falls outside its log band")
 
 
 class ExchangeResiduals(NamedTuple):
@@ -111,13 +90,15 @@ def asymptotic_directions(cloud: PointCloud, kind: ConeKind, fraction: float = 0
     chosen = order[:k] if kind is ConeKind.AT_ORIGIN else order[-k:]
     pts = cloud.points[chosen]
     radii = r[chosen]
-    return DirectionSet(pts / radii[:, None], radii, kind)
+    return DirectionSet(pts / radii[:, None], radii)
 
 
-def link(cloud: PointCloud, radius: float, band: float) -> LinkSlice:
-    """The slice of a cloud in a radial band around ``radius``.
+def link(cloud: PointCloud, radius: float, band: float) -> np.ndarray:
+    """Indices, in cloud order, of the samples in a radial band around ``radius``.
 
-    The symmetrized log band |log|x| - log R| <= band is mapped exactly
+    Indices rather than points, so slice identities (such as the
+    exchange with inversion) are testable as array equalities.  The
+    symmetrized log band |log|x| - log R| <= band is mapped exactly
     to itself around 1/R by inversion.  A 1e-15 slack absorbs
     normalization rounding so band = 0 keeps exact-radius points.
 
@@ -134,12 +115,7 @@ def link(cloud: PointCloud, radius: float, band: float) -> LinkSlice:
     keep = np.flatnonzero((r > 0.0) & (off <= band + _BAND_SLACK))
     if len(keep) == 0:
         raise InsufficientPoints(f"no points in the band around radius {radius}")
-    return LinkSlice(
-        points=PointCloud(cloud.points[keep], cloud.label),
-        radius=float(radius),
-        band=float(band),
-        indices=keep,
-    )
+    return keep
 
 
 def angular_hausdorff(a: DirectionSet, b: DirectionSet) -> float:

@@ -31,32 +31,30 @@ def ray(dim: int = 2, count: int = 100, seed: int = 0,
     return PointCloud(radii[:, None] * u[None, :], "ray")
 
 
-def shifted_line(count: int = 200, offset: float = 1.0,
-                 t_min: float = 1.0, t_max: float = 1000.0) -> PointCloud:
-    """The horizontal line {(t, offset)}, log-sampled, with t_max exact."""
+def shifted_line(count: int = 200, t_min: float = 1.0, t_max: float = 1000.0) -> PointCloud:
+    """The horizontal line {(t, 1)}, log-sampled, with t_max exact."""
     if count < 2 or not 0.0 < t_min < t_max:
         raise DomainError("shifted line needs count >= 2 and 0 < t_min < t_max")
     t = np.logspace(math.log10(t_min), math.log10(t_max), count)
     t[-1] = t_max
-    return PointCloud(np.column_stack([t, np.full(count, float(offset))]), "shifted-line")
+    return PointCloud(np.column_stack([t, np.ones(count)]), "shifted-line")
 
 
-def spiral(count: int = 150, r_min: float = 10.0 ** -1.5,
-           r_max: float = 10.0 ** 1.5, turns: float = 3.0) -> PointCloud:
-    """A logarithmic spiral: radius sweeps the range while the angle turns."""
+def spiral(count: int = 150, r_min: float = 10.0 ** -1.5, r_max: float = 10.0 ** 1.5) -> PointCloud:
+    """A logarithmic spiral: radius sweeps the range while the angle makes three turns."""
     if count < 2 or not 0.0 < r_min < r_max:
         raise DomainError("spiral needs count >= 2 and 0 < r_min < r_max")
-    theta = np.linspace(0.0, 2.0 * np.pi * turns, count)
+    theta = np.linspace(0.0, 6.0 * np.pi, count)
     r = np.logspace(math.log10(r_min), math.log10(r_max), count)
     return PointCloud(np.column_stack([r * np.cos(theta), r * np.sin(theta)]), "spiral")
 
 
-def cloud(kind: str, dim: int = 2, count: int = 100, seed: int = 0,
-          r_min: float = 1e-2, r_max: float = 1e2) -> PointCloud:
+def cloud(kind: str, dim: int, count: int, seed: int, r_min: float, r_max: float) -> PointCloud:
+    """One of ``CLOUD_KINDS``; the shifted line takes [r_min, r_max] as its t range."""
     if kind == "ray":
         return ray(dim=dim, count=count, seed=seed, r_min=r_min, r_max=r_max)
     if kind == "shifted-line":
-        return shifted_line(count=count, t_min=max(r_min, 1.0), t_max=r_max)
+        return shifted_line(count=count, t_min=r_min, t_max=r_max)
     if kind == "spiral":
         return spiral(count=count, r_min=r_min, r_max=r_max)
     raise DomainError(f"unknown cloud kind {kind!r}; expected one of {CLOUD_KINDS}")

@@ -317,10 +317,8 @@ def scaling_analytic(factor: float, dim: int = 2) -> AnalyticMap:
     )
 
 
-def radial_power_analytic(
-    exponent: float, r_lo: float, r_hi: float, dim: int = 2
-) -> AnalyticMap:
-    """x -> |x|^(t-1) x on the shell r_lo <= |x| <= r_hi, t >= 1.
+def radial_power_analytic(exponent: float, r_lo: float, r_hi: float) -> AnalyticMap:
+    """x -> |x|^(t-1) x on the planar shell r_lo <= |x| <= r_hi, t >= 1.
 
     On the shell the chord ratio is a mediant of the radial difference
     quotient (<= t r_hi^(t-1)) and (a^t+b^t)/(a+b) (<= max^(t-1)), so
@@ -338,8 +336,8 @@ def radial_power_analytic(
 
     return AnalyticMap(
         name=f"radial-shell-{exponent:g}",
-        dim_in=dim,
-        dim_out=dim,
+        dim_in=2,
+        dim_out=2,
         func=func,
         bilip_constant=float(exponent * r_hi ** (exponent - 1.0)),
         fixes_origin=False,
@@ -347,16 +345,16 @@ def radial_power_analytic(
     )
 
 
-def radial_square_analytic(dim: int = 2) -> AnalyticMap:
-    """The non-example x -> |x| x on [0, 1]: not bi-Lipschitz near 0."""
+def radial_square_analytic() -> AnalyticMap:
+    """The planar non-example x -> |x| x on [0, 1]: not bi-Lipschitz near 0."""
 
     def func(pts: np.ndarray) -> np.ndarray:
         return norms(pts)[:, None] * pts
 
     return AnalyticMap(
         name="radial-square",
-        dim_in=dim,
-        dim_out=dim,
+        dim_in=2,
+        dim_out=2,
         func=func,
         bilip_constant=None,
         fixes_origin=True,

@@ -8,6 +8,7 @@ CSV cannot hold; it restates the origin flags, which the samples decide.
 
 from __future__ import annotations
 
+import errno
 import json
 import pathlib
 
@@ -136,7 +137,7 @@ def save_map(m: SampledMap, path) -> None:
 def load_map(path) -> SampledMap:
     path = pathlib.Path(path)
     if not path.exists():
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(errno.ENOENT, "No such file or directory", str(path))
     side = sidecar_path(path)
     if not side.exists():
         raise ParseError(f"missing sidecar {side}")

@@ -37,6 +37,13 @@ IDENTITY_DIMS = (1, 2, 3, 6)
 CUBE_BOUND_MEMBERS = ("identity", "scale-0.5", "scale-2", "scale-10", "diag-1-3", "shear")
 BILIPSCHITZ_MEMBERS = CUBE_BOUND_MEMBERS + ("radial-shell-1", "radial-shell-1.25")
 CHART_TOLERANCE = 1e-9  # gate on the near-pole chart gluing residual
+IDENTITY_TOLERANCE = 1e-10  # gate on the identity and round-trip residuals
+CUBE_SLACK = 1e-6  # added to A^3 in the gate on each inverted constant
+COMPACTIFIED_IDENTITY_TOLERANCE = 1e-9  # gate on |constant - 1| of the compactified identity
+CONE_EXCHANGE_TOLERANCE = 1e-10  # gate on the cone-exchange residuals
+CHART_SAMPLES = 200  # points per dimension in the chart gluing sweep
+CUBE_BOUND_SAMPLES = 500  # samples per registry map in cube-bound
+COMPACTIFY_IFF_SAMPLES = 300  # samples per map in compactify-iff and its non-example
 
 
 def _check(name: str, measured: float, tolerance, passed: bool) -> dict:
@@ -73,7 +80,7 @@ def random_pairs(rng: np.random.Generator, count: int, dim: int,
     return draw(), draw()
 
 
-def chart_gluing_residuals(seed: int = 0, count: int = 200) -> dict[str, float]:
+def chart_gluing_residuals(seed: int = 0) -> dict[str, float]:
     """Max residual of chart(invert(x)) vs stereo_embed(x), |x| in [2, 1e3].
 
     Three variants of the near-pole chart: the formula exactly as
@@ -84,9 +91,9 @@ def chart_gluing_residuals(seed: int = 0, count: int = 200) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     worst = {"verbatim": 0.0, "renormalized": 0.0, "corrected": 0.0}
     for dim in (2, 3):
-        u = rng.normal(size=(count, dim))
+        u = rng.normal(size=(CHART_SAMPLES, dim))
         u /= np.linalg.norm(u, axis=1)[:, None]
-        radii = np.logspace(math.log10(2.0), 3.0, count)
+        radii = np.logspace(math.log10(2.0), 3.0, CHART_SAMPLES)
         x = u * radii[:, None]
         target = stereo_embed(x)
         y = invert(x)
@@ -101,8 +108,7 @@ def chart_gluing_residuals(seed: int = 0, count: int = 200) -> dict[str, float]:
     return worst
 
 
-def run_identities(seed: int = 0, pairs: int = 2000, tolerance: float = 1e-10,
-                   gate_renormalized_chart: bool = False) -> dict:
+def run_identities(seed: int = 0, pairs: int = 2000, gate_renormalized_chart: bool = False) -> dict:
     """Distance identities, round trips, derivative norm, radial sandwich.
 
     ``gate_renormalized_chart`` turns the reported residual of the
@@ -120,17 +126,17 @@ def run_identities(seed: int = 0, pairs: int = 2000, tolerance: float = 1e-10,
         a, b = random_pairs(rng, pairs, dim)
         worst_e = float(np.max(inverted_distance_residual(a, b)))
         worst_c = float(np.max(law_of_cosines_residual(a, b)))
-        checks.append(_at_most(f"distance product identity, dim {dim}", worst_e, tolerance))
-        checks.append(_at_most(f"law of cosines identity, dim {dim}", worst_c, tolerance))
+        checks.append(_at_most(f"distance product identity, dim {dim}", worst_e, IDENTITY_TOLERANCE))
+        checks.append(_at_most(f"law of cosines identity, dim {dim}", worst_c, IDENTITY_TOLERANCE))
 
     for dim in IDENTITY_DIMS:
         x, _ = random_pairs(rng, pairs, dim, r_lo=1e-6, r_hi=1e6)
         back = invert(invert(x))
         rel = np.linalg.norm(back - x, axis=1) / np.linalg.norm(x, axis=1)
-        checks.append(_at_most(f"inversion involution, dim {dim}", float(rel.max()), tolerance))
+        checks.append(_at_most(f"inversion involution, dim {dim}", float(rel.max()), IDENTITY_TOLERANCE))
         round_trip = stereo_project(stereo_embed(x))
         rel = np.linalg.norm(round_trip - x, axis=1) / np.linalg.norm(x, axis=1)
-        checks.append(_at_most(f"sphere round trip, dim {dim}", float(rel.max()), tolerance))
+        checks.append(_at_most(f"sphere round trip, dim {dim}", float(rel.max()), IDENTITY_TOLERANCE))
 
     worst_d = 0.0
     per_dim = 250 if pairs >= 1000 else 50
@@ -160,7 +166,7 @@ def run_identities(seed: int = 0, pairs: int = 2000, tolerance: float = 1e-10,
     return _suite("identities", checks)
 
 
-def run_cube_bound(seed: int = 0, count: int = 500, tolerance: float = 1e-6) -> dict:
+def run_cube_bound(seed: int = 0) -> dict:
     """Inverted registry maps stay under the cubed constant.
 
     For a bi-Lipschitz map fixing the origin the derivative bound caps
@@ -171,11 +177,11 @@ def run_cube_bound(seed: int = 0, count: int = 500, tolerance: float = 1e-6) -> 
     checks: list[dict] = []
     for name in CUBE_BOUND_MEMBERS:
         cube = family[name].bilip_constant**3
-        inverted = invert_map(map_samples(name, count=count, seed=seed))
+        inverted = invert_map(map_samples(name, count=CUBE_BOUND_SAMPLES, seed=seed))
         report = estimate_bilip(inverted)
         checks.append(
             _at_most(f"inverted constant of {name} (bound {cube:g})",
-                     report.bilip_constant, cube + tolerance)
+                     report.bilip_constant, cube + CUBE_SLACK)
         )
         radial = radial_comparability(inverted)
         overshoot = max(radial.max_ratio - cube, 1.0 / cube - radial.min_ratio, 0.0)
@@ -183,7 +189,7 @@ def run_cube_bound(seed: int = 0, count: int = 500, tolerance: float = 1e-6) -> 
     return _suite("cube-bound", checks)
 
 
-def run_compactify_iff(seed: int = 0, count: int = 300, tolerance: float = 1e-9) -> dict:
+def run_compactify_iff(seed: int = 0) -> dict:
     """Positive and negative faces of the bi-Lipschitz iff statements.
 
     Positive: every registry member keeps a finite, internally
@@ -194,7 +200,7 @@ def run_compactify_iff(seed: int = 0, count: int = 300, tolerance: float = 1e-9)
     """
     checks: list[dict] = []
     for name in BILIPSCHITZ_MEMBERS:
-        m = map_samples(name, count=count, seed=seed)
+        m = map_samples(name, count=COMPACTIFY_IFF_SAMPLES, seed=seed)
         inverted = estimate_bilip(invert_map(m))
         checks.append(
             _check(f"inverted estimate of {name} is finite",
@@ -214,9 +220,10 @@ def run_compactify_iff(seed: int = 0, count: int = 300, tolerance: float = 1e-9)
         pole = compact.unbounded_domain
         checks.append(_check(f"compactified {name} carries the pole pair", float(pole), None, True))
         if name == "identity":
-            checks.append(_at_most("compactified identity constant is 1", abs(report.bilip_constant - 1.0), tolerance))
+            checks.append(_at_most("compactified identity constant is 1", abs(report.bilip_constant - 1.0),
+                                   COMPACTIFIED_IDENTITY_TOLERANCE))
 
-    grow_plain, grow_inverted = non_example_divergence(seed=seed, count=count)
+    grow_plain, grow_inverted = non_example_divergence(seed=seed)
     checks.append(
         _check("non-example contraction growth toward 0 (factor, needs >= 2)",
                grow_plain, 2.0, grow_plain >= 2.0)
@@ -228,7 +235,7 @@ def run_compactify_iff(seed: int = 0, count: int = 300, tolerance: float = 1e-9)
     return _suite("compactify-iff", checks)
 
 
-def non_example_divergence(seed: int = 0, count: int = 300) -> tuple[float, float]:
+def non_example_divergence(seed: int = 0) -> tuple[float, float]:
     """Growth factors of the non-example's bounds between refinements.
 
     Samples x -> |x| x on [t_min, 1] for t_min = 1e-2 then 1e-4 and
@@ -237,7 +244,7 @@ def non_example_divergence(seed: int = 0, count: int = 300) -> tuple[float, floa
     """
     reports = []
     for t_min in (1e-2, 1e-4):
-        m = map_samples("radial-square", count=count, seed=seed, r_min=t_min, r_max=1.0)
+        m = map_samples("radial-square", count=COMPACTIFY_IFF_SAMPLES, seed=seed, r_min=t_min, r_max=1.0)
         reports.append((estimate_bilip(m), estimate_bilip(invert_map(m))))
     (coarse, coarse_inv), (fine, fine_inv) = reports
     grow_plain = fine.l_contract / coarse.l_contract
@@ -245,7 +252,7 @@ def non_example_divergence(seed: int = 0, count: int = 300) -> tuple[float, floa
     return float(grow_plain), float(grow_inverted)
 
 
-def run_cone_exchange(seed: int = 0, tolerance: float = 1e-10) -> dict:
+def run_cone_exchange(seed: int = 0) -> dict:
     """Exchange of asymptotic direction sets under inversion, per fixture."""
     fixtures = [
         ("ray, dim 2", ray(dim=2, count=120, seed=seed)),
@@ -256,7 +263,7 @@ def run_cone_exchange(seed: int = 0, tolerance: float = 1e-10) -> dict:
     checks: list[dict] = []
     for label, cloud in fixtures:
         res = verify_cone_exchange(cloud)
-        checks.append(_at_most(f"cone exchange residual, {label}", max(res), tolerance))
+        checks.append(_at_most(f"cone exchange residual, {label}", max(res), CONE_EXCHANGE_TOLERANCE))
     line = shifted_line(count=200)
     ds = asymptotic_directions(line, ConeKind.AT_INFINITY)
     outer = ds.directions[int(np.argmax(ds.source_radii))]
@@ -277,6 +284,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, **kwargs) -> dict:
+    """Run one suite; only ``run_identities`` takes options (``pairs``, ``gate_renormalized_chart``)."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     return _SUITES[name](seed=seed, **kwargs)

@@ -270,6 +270,15 @@ class TestCones:
         assert f"usage error: {option} {reason}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("band", ["2", "1", "-0.1", "nan", "wide"])
+    def test_band_outside_the_unit_interval_exits_2_at_parse_time(self, tmp_path, capsys, band):
+        with pytest.raises(SystemExit) as exit_:
+            main(["cones", str(tmp_path / "ghost.csv"), "--shell", "1:2", "--band", band])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert f"band {band!r} is not a number in [0, 1)" in captured.err
+        assert captured.out == ""
+
 
 class TestVerifyCommand:
     def test_cone_exchange_suite_passes(self, tmp_path):
@@ -306,6 +315,13 @@ class TestVerifyCommand:
                 captured = capsys.readouterr()
                 assert f"{option[0]} applies only to the identities suite, not to {suite}" in captured.err
                 assert captured.out == ""
+
+    def test_tolerance_option_is_gone(self, capsys):
+        # every gate is a fixed value in bilip.verify
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "all", "--tolerance", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --tolerance 1" in capsys.readouterr().err
 
     def test_default_identity_pairs_is_2000(self, capsys):
         assert main(["verify", "identities"]) == 0
@@ -367,8 +383,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("fixture, option, value, readers", [
         ("spiral", "--dim", "3", "ray and scaling"),
         ("shear", "--lambda", "5", "scaling"),
-        ("ray", "--tmax", "7", "shifted-line"),
-    ], ids=["dim", "lambda", "tmax"])
+        ("spiral", "--seed", "5", "ray and the sampled maps"),
+        ("shifted-line", "--seed", "5", "ray and the sampled maps"),
+    ], ids=["dim", "lambda", "seed", "seed-shifted-line"])
     def test_option_for_another_fixture_exits_2(self, tmp_path, capsys, fixture, option, value, readers):
         output = tmp_path / "x.csv"
         assert main(["generate", fixture, option, value, "--output", str(output)]) == 2
@@ -377,11 +394,56 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not output.exists()
 
-    def test_tmax_reaches_the_shifted_line(self, tmp_path, capsys):
+    def test_shell_sets_the_shifted_line_range(self, tmp_path, capsys):
         line = tmp_path / "line.csv"
-        assert main(["generate", "shifted-line", "--tmax", "50", "--output", str(line)]) == 0
+        assert main(["generate", "shifted-line", "--output", str(line)]) == 0
+        t = load_cloud(line).points[:, 0]
+        assert (t.min(), t.max()) == (1.0, 1000.0)
+        assert main(["generate", "shifted-line", "--shell", "5:50", "--output", str(line)]) == 0
         capsys.readouterr()
-        assert load_cloud(line).points[:, 0].max() == 50.0
+        t = load_cloud(line).points[:, 0]
+        assert t.min() == pytest.approx(5.0, rel=1e-15) and t.max() == 50.0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "identities", "--seed", "-1"],
+        ["generate", "ray", "--seed", "-1", "--output", "r.csv"],
+        ["distortion", "ghost.csv", "--strategy", "random", "--seed", "-1"],
+        ["verify", "cone-exchange", "--seed", "1.5"],
+    ], ids=["verify", "generate", "distortion", "non-integer"])
+    def test_bad_seed_exits_2_at_parse_time(self, capsys, argv):
+        # exit 1 from verify would claim a gated check failed
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert f"seed {argv[argv.index('--seed') + 1]!r} is not a non-negative integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, target", [
+        (["distortion", "m.csv", "--output", "nodir/r.json"], "nodir/r.json"),
+        (["verify", "cone-exchange", "--output", "nodir/r.json"], "nodir/r.json"),
+        (["verify", "cone-exchange", "--output", "adir"], "adir"),
+        (["invert", "m.csv", "--output", "nodir/x.csv"], "nodir/x.csv"),
+        (["cones", "c.csv", "--directions", "nodir/d.csv"], "nodir/d.csv"),
+    ], ids=["distortion", "verify", "directory", "invert", "cones-directions"])
+    def test_unwritable_output_exits_2_and_names_it(self, tmp_path, monkeypatch, capsys, argv, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert main(["generate", "shear", "--n", "20", "--output", "m.csv"]) == 0
+        assert main(["generate", "ray", "--n", "40", "--output", "c.csv"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "cannot write output:" in captured.err
+        assert repr(target) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["distortion", "invert"])
+    def test_missing_input_is_named_as_read(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "./ghost.csv"] + (["--output", "x.csv"] if command == "invert" else [])
+        assert main(argv) == 2
+        assert "cannot read input: [Errno 2] No such file or directory: 'ghost.csv'" in capsys.readouterr().err
 
     def test_string_flag_in_sidecar_exits_2(self, tmp_path):
         path = make_scaling(tmp_path)

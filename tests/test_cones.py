@@ -32,9 +32,9 @@ def unit_rows(rng: np.random.Generator, n: int, q: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def direction_set(rows, kind=ConeKind.AT_INFINITY) -> DirectionSet:
+def direction_set(rows) -> DirectionSet:
     d = np.asarray(rows, dtype=np.float64)
-    return DirectionSet(d, np.ones(len(d)), kind)
+    return DirectionSet(d, np.ones(len(d)))
 
 
 def shifted_line(count: int = 200, t_max: float = 1000.0) -> PointCloud:
@@ -173,18 +173,18 @@ class TestAngularHausdorff:
 
     def test_oversized_set_rejected(self):
         rows = np.tile(np.array([[1.0, 0.0]]), (10_001, 1))
-        big = DirectionSet(rows, np.ones(len(rows)), ConeKind.AT_ORIGIN)
+        big = DirectionSet(rows, np.ones(len(rows)))
         with pytest.raises(DomainError):
             angular_hausdorff(big, direction_set([[1.0, 0.0]]))
 
     def test_empty_set_rejected(self):
-        empty = DirectionSet(np.zeros((0, 2)), np.zeros(0), ConeKind.AT_ORIGIN)
+        empty = DirectionSet(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(InsufficientPoints):
             angular_hausdorff(empty, direction_set([[1.0, 0.0]]))
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(DomainError):
-            DirectionSet(np.array([[2.0, 0.0]]), np.ones(1), ConeKind.AT_ORIGIN)
+            DirectionSet(np.array([[2.0, 0.0]]), np.ones(1))
 
 
 class TestDirectionSelection:
@@ -197,7 +197,7 @@ class TestDirectionSelection:
         rng = np.random.default_rng(7)
         u = unit_rows(rng, 1, 3)[0]
         ds = asymptotic_directions(ray_cloud(u), ConeKind.AT_INFINITY)
-        target = DirectionSet(u[None, :], np.ones(1), ConeKind.AT_INFINITY)
+        target = DirectionSet(u[None, :], np.ones(1))
         assert angular_hausdorff(ds, target) < 1e-12
 
     def test_origin_sample_is_skipped(self):
@@ -273,18 +273,15 @@ class TestLink:
     def test_band_zero_keeps_exact_radius(self):
         rng = np.random.default_rng(5)
         cloud = PointCloud(unit_rows(rng, 50, 3), "sphere")
-        sl = link(cloud, 1.0, 0.0)
-        assert len(sl.indices) == 50
+        assert np.array_equal(link(cloud, 1.0, 0.0), np.arange(50))
 
     def test_middle_shell_only(self):
         pts = np.array([[0.5, 0.0], [0.0, 1.0], [2.0, 0.0]])
-        sl = link(PointCloud(pts, "three"), 1.0, 0.1)
-        assert np.array_equal(sl.indices, np.array([1]))
+        assert np.array_equal(link(PointCloud(pts, "three"), 1.0, 0.1), np.array([1]))
 
     def test_origin_never_in_log_band(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        sl = link(PointCloud(pts, "pair"), 1.0, 0.5)
-        assert np.array_equal(sl.indices, np.array([1]))
+        assert np.array_equal(link(PointCloud(pts, "pair"), 1.0, 0.5), np.array([1]))
 
     def test_empty_band_raises(self):
         cloud = PointCloud(np.array([[1.0, 0.0], [2.0, 0.0]]), "pair")
@@ -304,7 +301,7 @@ class TestLink:
         cloud = log_spiral()
         direct = link(cloud, 2.0, 0.4)
         mirrored = link(PointCloud(invert(cloud.points), "inv"), 0.5, 0.4)
-        assert np.array_equal(direct.indices, mirrored.indices)
+        assert np.array_equal(direct, mirrored)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -326,7 +323,7 @@ def test_link_band_exchange_property(seed):
             link(PointCloud(invert(pts), "inv"), 0.5, 0.4)
         return
     mirrored = link(PointCloud(invert(pts), "inv"), 0.5, 0.4)
-    assert np.array_equal(direct.indices, mirrored.indices)
+    assert np.array_equal(direct, mirrored)
 
 
 class TestConeOver:
@@ -336,9 +333,9 @@ class TestConeOver:
         rng = np.random.default_rng(13)
         base = direction_set(unit_rows(rng, 6, 3))
         cone = PointCloud(np.vstack([t * base.directions for t in (1.0, 2.0, 4.0)]), "cone")
-        sl = link(cone, 2.0, 0.0)
-        r = sl.points.radii()
-        recovered = DirectionSet(sl.points.points / r[:, None], r, ConeKind.AT_INFINITY)
+        pts = cone.points[link(cone, 2.0, 0.0)]
+        r = np.linalg.norm(pts, axis=1)
+        recovered = DirectionSet(pts / r[:, None], r)
         assert len(recovered) == len(base)
         assert angular_hausdorff(base, recovered) < 1e-12
 

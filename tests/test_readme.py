@@ -1,8 +1,11 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its command-line
+section names exactly the options the parser has."""
 
+import argparse
 import pathlib
 import re
 
+from bilip.cli import build_parser
 from bilip.fixtures import map_samples
 from bilip.serialize import save_map
 from cli_runner import run_python
@@ -19,3 +22,18 @@ def test_library_example_runs(tmp_path):
     constant_line, exchange_line = out.stdout.splitlines()
     assert float(constant_line.split()[0]) == 2.0
     assert max(map(float, exchange_line.split())) < 1e-10
+
+
+def test_command_line_section_names_every_option():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert sorted(options - named) == [], "options the README does not name"
+    assert sorted(named - options) == [], "options the README names that no command has"

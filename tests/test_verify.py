@@ -8,7 +8,9 @@ and only the corrected chart reaches machine precision.
 
 import pytest
 
+from bilip import verify
 from bilip.errors import DomainError
+from bilip.maps import registry
 from bilip.verify import (
     SUITE_NAMES,
     chart_gluing_residuals,
@@ -23,8 +25,6 @@ CHECK_KEYS = {"name", "measured", "tolerance", "passed"}
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suites_pass_with_small_budgets(name):
     kwargs = {"pairs": 300} if name == "identities" else {}
-    if name in ("cube-bound", "compactify-iff"):
-        kwargs = {"count": 120}
     out = run_suite(name, seed=0, **kwargs)
     assert out["suite"] == name
     assert out["passed"] is True
@@ -32,6 +32,37 @@ def test_suites_pass_with_small_budgets(name):
         assert set(check) == CHECK_KEYS
         if check["tolerance"] is not None:
             assert check["passed"]
+
+
+def gate_table() -> list[tuple[str, str, float, int]]:
+    """(suite, check name prefix, fixed gate, number of checks it gates) for every named gate."""
+    cubes = [("cube-bound", f"inverted constant of {name} ",
+              registry()[name].bilip_constant**3 + verify.CUBE_SLACK, 1)
+             for name in verify.CUBE_BOUND_MEMBERS]
+    dims = len(verify.IDENTITY_DIMS)
+    return [
+        ("identities", "distance product identity", verify.IDENTITY_TOLERANCE, dims),
+        ("identities", "law of cosines identity", verify.IDENTITY_TOLERANCE, dims),
+        ("identities", "inversion involution", verify.IDENTITY_TOLERANCE, dims),
+        ("identities", "sphere round trip", verify.IDENTITY_TOLERANCE, dims),
+        ("identities", "corrected near-pole chart", verify.CHART_TOLERANCE, 1),
+        *cubes,
+        ("compactify-iff", "compactified identity constant is 1",
+         verify.COMPACTIFIED_IDENTITY_TOLERANCE, 1),
+        ("cone-exchange", "cone exchange residual", verify.CONE_EXCHANGE_TOLERANCE, 4),
+    ]
+
+
+def test_reports_print_the_named_gates():
+    # the gates are fixed values: no option or parameter moves them
+    assert verify.IDENTITY_TOLERANCE == verify.CONE_EXCHANGE_TOLERANCE == 1e-10
+    assert verify.CHART_TOLERANCE == verify.COMPACTIFIED_IDENTITY_TOLERANCE == 1e-9
+    assert verify.CUBE_SLACK == 1e-6
+    reports = {name: run_suite(name, seed=0) for name in SUITE_NAMES}
+    for suite, prefix, gate, count in gate_table():
+        gated = [c for c in reports[suite]["checks"] if c["name"].startswith(prefix)]
+        assert len(gated) == count, prefix
+        assert all(c["tolerance"] == gate for c in gated), prefix
 
 
 def test_suites_are_deterministic():
@@ -65,7 +96,7 @@ class TestChartGluing:
 
 
 def test_non_example_divergence_is_strong():
-    grow_plain, grow_inverted = non_example_divergence(seed=0, count=200)
+    grow_plain, grow_inverted = non_example_divergence(seed=0)
     assert grow_plain >= 2.0
     assert grow_inverted >= 2.0
     # the quadratic radial profile gains a factor near 100 per two
