@@ -10,7 +10,7 @@ coordinates, which on sphere-ambient maps is exactly the chordal metric.
 from __future__ import annotations
 
 import dataclasses
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .maps import SampledMap
 COINCIDENCE_EPSILON = 1e-12  # relative; closer domain pairs are skipped
 ALL_PAIRS_CAP = 2000  # keeps all-pairs runs under a second; larger n uses SeededRandom
 DEFAULT_RANDOM_PAIRS = 10**6
+_BLOCK_PAIRS = 2**16  # pairs per slice of the walk; bounds its temporaries for any n and q
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,7 +56,6 @@ class DistortionReport:
     witness_contract: tuple[int, int]
     pairs_evaluated: int
     pairs_skipped: int
-    strategy: PairStrategy
 
 
 class RadialReport(NamedTuple):
@@ -66,36 +66,30 @@ class RadialReport(NamedTuple):
     points: int
 
 
-def _pair_indices(n: int, strategy: PairStrategy) -> tuple[np.ndarray, np.ndarray]:
+def _pair_blocks(n: int, strategy: PairStrategy) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The strategy's pairs i < j in slices of _BLOCK_PAIRS; its checks raise at the first next()."""
     if isinstance(strategy, AllPairs):
         if n > ALL_PAIRS_CAP:
             raise DomainError(
                 f"{n} samples exceed the all-pairs cap {ALL_PAIRS_CAP}; use SeededRandom"
             )
-        return np.triu_indices(n, k=1)
-    if isinstance(strategy, SeededRandom):
+        i, j = np.triu_indices(n, k=1)
+    elif isinstance(strategy, SeededRandom):
         if strategy.samples < 1:
             raise DomainError("need at least one sampled pair")
         rng = np.random.default_rng(strategy.seed)
-        i = rng.integers(0, n, size=strategy.samples)
-        j = rng.integers(0, n, size=strategy.samples)
-        lo = np.minimum(i, j)
-        hi = np.maximum(i, j)
-        keep = lo != hi
+        a = rng.integers(0, n, size=strategy.samples)
+        b = rng.integers(0, n, size=strategy.samples)
+        keep = a != b
         if not np.any(keep):
             raise DegenerateMap(
                 f"all drawn pairs were self-pairs (i == j); samples={strategy.samples}"
             )
-        return lo[keep], hi[keep]
-    raise DomainError(f"unknown pair strategy: {strategy!r}")
-
-
-def _lex_min_witness(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[int, int]:
-    best = values.max()
-    cand = np.flatnonzero(values == best)
-    order = np.lexsort((j[cand], i[cand]))
-    k = cand[order[0]]
-    return int(i[k]), int(j[k])
+        i, j = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+    else:
+        raise DomainError(f"unknown pair strategy: {strategy!r}")
+    for start in range(0, len(i), _BLOCK_PAIRS):
+        yield i[start:start + _BLOCK_PAIRS], j[start:start + _BLOCK_PAIRS]
 
 
 def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> DistortionReport:
@@ -109,34 +103,38 @@ def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> Distor
         DegenerateMap: if every candidate pair was skipped, or every
             SeededRandom draw was a self-pair.
     """
-    i, j = _pair_indices(m.n_pairs, strategy)
+    n = m.n_pairs
     dom = m.domain.points
     cod = m.codomain.points
     r = m.domain.radii()
-    dx = np.linalg.norm(dom[i] - dom[j], axis=1)
-    limit = COINCIDENCE_EPSILON * (1.0 + np.maximum(r[i], r[j]))
-    keep = dx >= limit
-    skipped = int((~keep).sum())
-    if not np.any(keep):
+    # per ratio (value, -(i*n + j)): max keeps the largest value, ties the smallest pair
+    best = [(-np.inf, 0), (-np.inf, 0)]
+    evaluated = skipped = 0
+    for i, j in _pair_blocks(n, strategy):
+        dx = np.linalg.norm(dom[i] - dom[j], axis=1)
+        keep = dx >= COINCIDENCE_EPSILON * (1.0 + np.maximum(r[i], r[j]))
+        i, j, dx = i[keep], j[keep], dx[keep]
+        evaluated += len(dx)
+        skipped += len(keep) - len(dx)
+        if not len(dx):
+            continue
+        dy = np.linalg.norm(cod[i] - cod[j], axis=1)
+        key = i * n + j
+        with np.errstate(divide="ignore"):
+            for slot, ratio in enumerate((dy / dx, dx / dy)):
+                top = ratio.max()
+                best[slot] = max(best[slot], (float(top), -int(key[ratio == top].min())))
+    if not evaluated:
         raise DegenerateMap("all candidate pairs are coincident in the domain")
-    i = i[keep]
-    j = j[keep]
-    dx = dx[keep]
-    dy = np.linalg.norm(cod[i] - cod[j], axis=1)
-    expand = dy / dx
-    with np.errstate(divide="ignore"):
-        contract = dx / dy
-    l_expand = float(expand.max())
-    l_contract = float(contract.max())
+    (l_expand, expand_key), (l_contract, contract_key) = best
     return DistortionReport(
         l_expand=l_expand,
         l_contract=l_contract,
         bilip_constant=max(l_expand, l_contract),
-        witness_expand=_lex_min_witness(expand, i, j),
-        witness_contract=_lex_min_witness(contract, i, j),
-        pairs_evaluated=int(len(dx)),
+        witness_expand=divmod(-expand_key, n),
+        witness_contract=divmod(-contract_key, n),
+        pairs_evaluated=evaluated,
         pairs_skipped=skipped,
-        strategy=strategy,
     )
 
 

@@ -229,7 +229,14 @@ class SamplerConfig:
             raise DomainError("need 0 < r_min <= r_max < inf")
 
 
-def _unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+def unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """An (n, dim) stack of uniform random unit vectors, drawn from ``rng``.
+
+    Raises:
+        DomainError: if ``dim`` < 1, where no unit vector exists.
+    """
+    if dim < 1:
+        raise DomainError(f"directions need dim >= 1, got {dim}")
     dirs = rng.normal(size=(n, dim))
     lengths = np.linalg.norm(dirs, axis=1)
     while np.any(lengths < 1e-12):
@@ -257,7 +264,7 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
             f"radius range [{config.r_min}, {config.r_max}] misses the domain of {f.name}"
         )
     rng = np.random.default_rng(config.seed)
-    dirs = _unit_directions(rng, config.count, f.dim_in)
+    dirs = unit_directions(rng, config.count, f.dim_in)
     radii = np.exp(rng.uniform(np.log(lo), np.log(hi), size=config.count))
     dom = dirs * radii[:, None]
     if f.singular_dirs:

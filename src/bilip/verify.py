@@ -31,7 +31,7 @@ from .geometry import (
     stereo_embed,
     stereo_project,
 )
-from .maps import compactify_map, invert_map, registry
+from .maps import compactify_map, invert_map, registry, unit_directions
 
 IDENTITY_DIMS = (1, 2, 3, 6)
 CUBE_BOUND_MEMBERS = ("identity", "scale-0.5", "scale-2", "scale-10", "diag-1-3", "shear")
@@ -42,6 +42,7 @@ CUBE_SLACK = 1e-6  # added to A^3 in the gate on each inverted constant
 COMPACTIFIED_IDENTITY_TOLERANCE = 1e-9  # gate on |constant - 1| of the compactified identity
 CONE_EXCHANGE_TOLERANCE = 1e-10  # gate on the cone-exchange residuals
 CHART_SAMPLES = 200  # points per dimension in the chart gluing sweep
+DERIVATIVE_SAMPLES = 250  # points per dimension in the derivative norm sweep
 CUBE_BOUND_SAMPLES = 500  # samples per registry map in cube-bound
 COMPACTIFY_IFF_SAMPLES = 300  # samples per map in compactify-iff and its non-example
 
@@ -72,8 +73,7 @@ def random_pairs(rng: np.random.Generator, count: int, dim: int,
                  r_lo: float = 1e-3, r_hi: float = 1e3) -> tuple[np.ndarray, np.ndarray]:
     """Two (count, dim) stacks of random directions at log-uniform radii."""
     def draw():
-        u = rng.normal(size=(count, dim))
-        u /= np.linalg.norm(u, axis=1)[:, None]
+        u = unit_directions(rng, count, dim)
         r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=count))
         return u * r[:, None]
 
@@ -91,8 +91,7 @@ def chart_gluing_residuals(seed: int = 0) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     worst = {"verbatim": 0.0, "renormalized": 0.0, "corrected": 0.0}
     for dim in (2, 3):
-        u = rng.normal(size=(CHART_SAMPLES, dim))
-        u /= np.linalg.norm(u, axis=1)[:, None]
+        u = unit_directions(rng, CHART_SAMPLES, dim)
         radii = np.logspace(math.log10(2.0), 3.0, CHART_SAMPLES)
         x = u * radii[:, None]
         target = stereo_embed(x)
@@ -139,9 +138,8 @@ def run_identities(seed: int = 0, pairs: int = 2000, gate_renormalized_chart: bo
         checks.append(_at_most(f"sphere round trip, dim {dim}", float(rel.max()), IDENTITY_TOLERANCE))
 
     worst_d = 0.0
-    per_dim = 250 if pairs >= 1000 else 50
     for dim in IDENTITY_DIMS:
-        x, _ = random_pairs(rng, per_dim, dim)
+        x, _ = random_pairs(rng, DERIVATIVE_SAMPLES, dim)
         r2 = dot_rows(x, x)
         error = np.abs(inversion_derivative_norm(x) - 1.0 / r2) * r2
         worst_d = max(worst_d, float(error.max()))

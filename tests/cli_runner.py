@@ -18,7 +18,7 @@ import bilip
 PACKAGE_ROOT = pathlib.Path(bilip.__file__).resolve().parent.parent
 
 
-def run_python(*argv, cwd):
+def run_python(*argv, cwd, timeout=None):
     rest = os.environ.get("PYTHONPATH")
     path = str(PACKAGE_ROOT) + (os.pathsep + rest if rest else "")
     return subprocess.run(
@@ -27,8 +27,9 @@ def run_python(*argv, cwd):
         text=True,
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 
-def run_cli(*argv, cwd):
-    return run_python("-m", "bilip.cli", *argv, cwd=cwd)
+def run_cli(*argv, cwd, timeout=None):
+    return run_python("-m", "bilip.cli", *argv, cwd=cwd, timeout=timeout)

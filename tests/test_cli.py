@@ -394,6 +394,15 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not output.exists()
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_exits_2(self, tmp_path, dim):
+        # --dim 0 once drew zero-length directions forever
+        out = run_cli("generate", "scaling", "--lambda", "2", "--dim", dim, "--output", "z.csv",
+                      cwd=tmp_path, timeout=30)
+        assert out.returncode == 2
+        assert f"usage error: directions need dim >= 1, got {dim}" in out.stderr
+        assert not (tmp_path / "z.csv").exists()
+
     def test_shell_sets_the_shifted_line_range(self, tmp_path, capsys):
         line = tmp_path / "line.csv"
         assert main(["generate", "shifted-line", "--output", str(line)]) == 0

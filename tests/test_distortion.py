@@ -1,8 +1,16 @@
 """Distortion estimation: frozen ratios, strategy behavior, bounds."""
 
+import itertools
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bilip import distortion
 from bilip.errors import DegenerateMap, DomainError
 from bilip.geometry import PointCloud
 from bilip.distortion import AllPairs, SeededRandom, estimate_bilip, radial_comparability
@@ -106,6 +114,106 @@ class TestEstimate:
         m = compactify_map(make_map(pts, pts, unbounded_domain=True))
         rep = estimate_bilip(m)
         assert rep.bilip_constant == 1.0
+
+
+def drawn_pairs(n: int, strategy: SeededRandom) -> list[tuple[int, int]]:
+    """The distinct-index pairs a SeededRandom strategy draws, as (min, max), in draw order."""
+    rng = np.random.default_rng(strategy.seed)
+    a = rng.integers(0, n, size=strategy.samples)
+    b = rng.integers(0, n, size=strategy.samples)
+    return [(min(x, y), max(x, y)) for x, y in zip(a.tolist(), b.tolist()) if x != y]
+
+
+def row_norm(v: np.ndarray) -> float:
+    # a one-row stack takes the same reduction as each row of a block, so bits agree for any q
+    return float(np.linalg.norm(v[None, :], axis=1)[0])
+
+
+def per_pair_reference(m: SampledMap, pairs) -> dict | None:
+    """The report's fields from one pass over the pairs, or None if no pair is kept."""
+    dom, cod, r = m.domain.points, m.codomain.points, m.domain.radii()
+    kept, skipped = [], 0
+    for i, j in pairs:
+        dx = row_norm(dom[i] - dom[j])
+        if dx < distortion.COINCIDENCE_EPSILON * (1.0 + max(r[i], r[j])):
+            skipped += 1
+            continue
+        dy = row_norm(cod[i] - cod[j])
+        kept.append((dy / dx, math.inf if dy == 0.0 else dx / dy, (i, j)))
+    if not kept:
+        return None
+    l_expand = max(e for e, _, _ in kept)
+    l_contract = max(c for _, c, _ in kept)
+    return {
+        "l_expand": l_expand,
+        "l_contract": l_contract,
+        "witness_expand": min(p for e, _, p in kept if e == l_expand),
+        "witness_contract": min(p for _, c, p in kept if c == l_contract),
+        "pairs_evaluated": len(kept),
+        "pairs_skipped": skipped,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    q=st.integers(1, 9),
+    lattice=st.booleans(),
+    drawn=st.booleans(),
+    block=st.sampled_from((1, 3, distortion._BLOCK_PAIRS)),
+)
+def test_walk_matches_per_pair_reference(seed, n, q, lattice, drawn, block):
+    rng = np.random.default_rng(seed)
+    if lattice:  # small integer points: exact ties, coincident rows and codomain collisions
+        dom = rng.integers(-1, 2, size=(n, q)).astype(float)
+        cod = dom @ rng.integers(-1, 2, size=(q, q)).astype(float)
+    else:
+        dom = rng.normal(size=(n, q)) * np.exp(rng.normal(size=(n, 1)))
+        cod = np.tanh(dom) * 3.0
+        copies = rng.integers(0, n, size=(2, n // 4))
+        dom[copies[0]] = dom[copies[1]]  # coincident domain rows
+        cod[copies[1][::-1]] = cod[copies[0]]  # codomain collisions
+    m = make_map(dom, cod)
+    strategy = SeededRandom(samples=int(rng.integers(1, 3 * n * n)), seed=seed) if drawn else AllPairs()
+    pairs = drawn_pairs(n, strategy) if drawn else list(itertools.combinations(range(n), 2))
+    want = per_pair_reference(m, pairs)
+    with mock.patch.object(distortion, "_BLOCK_PAIRS", block):
+        if want is None:
+            with pytest.raises(DegenerateMap):
+                estimate_bilip(m, strategy)
+            return
+        rep = estimate_bilip(m, strategy)
+    got = {name: getattr(rep, name) for name in want}
+    assert got == want
+    assert rep.bilip_constant == max(want["l_expand"], want["l_contract"])
+
+
+class TestWalk:
+    def test_tied_pair_drawn_first_loses_to_the_smaller_pair(self):
+        # every pair of three collinear, evenly spaced samples has ratio 1
+        dom = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        strategy = SeededRandom(samples=20, seed=1)
+        pairs = drawn_pairs(3, strategy)
+        assert pairs[0] > (0, 1) and (0, 1) in pairs
+        for block in (1, distortion._BLOCK_PAIRS):
+            with mock.patch.object(distortion, "_BLOCK_PAIRS", block):
+                rep = estimate_bilip(make_map(dom, dom), strategy)
+            assert rep.witness_expand == rep.witness_contract == (0, 1)
+            assert rep.pairs_evaluated == len(pairs)
+
+    def test_all_pairs_memory_is_bounded(self):
+        # 16 bytes of index per pair (32 MB) plus one slice; gathering every pair at once needs ~185 MB
+        pts = random_cloud(22, 2000, 3)
+        m = make_map(pts, 2.0 * pts)
+        tracemalloc.start()
+        try:
+            rep = estimate_bilip(m, AllPairs())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs_evaluated == 2000 * 1999 // 2
+        assert peak < 48 * 2**20
 
 
 class TestProperties:

@@ -16,6 +16,7 @@ from bilip.maps import (
     restrict_map,
     sample_analytic,
     scaling_analytic,
+    unit_directions,
 )
 
 
@@ -265,6 +266,13 @@ class TestSampler:
         m = sample_analytic(shell, SamplerConfig(count=100, r_min=0.01, r_max=100.0, seed=3))
         r = m.domain.radii()
         assert r.min() >= 1.0 and r.max() <= 2.0
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_rejected(self, dim):
+        with pytest.raises(DomainError, match=f"directions need dim >= 1, got {dim}"):
+            unit_directions(np.random.default_rng(0), 5, dim)
+        with pytest.raises(DomainError, match=f"directions need dim >= 1, got {dim}"):
+            sample_analytic(scaling_analytic(2.0, dim=dim), SamplerConfig(count=5, r_min=0.1, r_max=1.0))
 
     def test_disjoint_domain_rejected(self):
         reg = registry()
