@@ -173,6 +173,15 @@ class TestDistortion:
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["bilip_constant"] == 2.0
 
+    def test_overflowing_pair_distance_is_exact(self, tmp_path):
+        # |1e200 - 1| squared overflows; the pair's distances are still 1e200 and 2e200
+        write_map(tmp_path / "far.csv", "1e200,0,2e200,0\n1,0,1,0\n2,0,2,0\n", avoids_origin=True)
+        out = run_cli("distortion", "far.csv", cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        data = json.loads(out.stdout)
+        assert (data["L_expand"], data["witnesses"]["expand"]) == (2.0, [0, 1])
+        assert (data["L_contract"], data["witnesses"]["contract"]) == (1.0, [1, 2])
+        assert data["pairs_evaluated"] == 3
 
     def test_self_pair_draws_exit_4(self, tmp_path):
         assert run_cli(

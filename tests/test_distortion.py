@@ -158,7 +158,7 @@ def per_pair_reference(m: SampledMap, pairs) -> dict | None:
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 40),
-    q=st.integers(1, 9),
+    q=st.integers(1, 20),
     lattice=st.booleans(),
     drawn=st.booleans(),
     block=st.sampled_from((1, 3, distortion._BLOCK_PAIRS)),
@@ -186,7 +186,22 @@ def test_walk_matches_per_pair_reference(seed, n, q, lattice, drawn, block):
         rep = estimate_bilip(m, strategy)
     got = {name: getattr(rep, name) for name in want}
     assert got == want
+    assert [type(value) for value in got.values()] == [type(value) for value in want.values()]
     assert rep.bilip_constant == max(want["l_expand"], want["l_contract"])
+
+
+@pytest.mark.parametrize("q", [127, 128, 129, 300])
+@pytest.mark.parametrize("drawn", [False, True], ids=["all", "random"])
+def test_wide_rows_match_per_pair_reference(q, drawn):
+    # numpy sums a row of more than 128 in split halves; 127..129 and 300 reach every branch
+    rng = np.random.default_rng(q)
+    dom = rng.normal(size=(12, q)) * np.exp(rng.normal(size=(12, q)))
+    m = make_map(dom, np.tanh(dom) * 3.0)
+    strategy = SeededRandom(samples=50, seed=q) if drawn else AllPairs()
+    pairs = drawn_pairs(12, strategy) if drawn else list(itertools.combinations(range(12), 2))
+    want = per_pair_reference(m, pairs)
+    rep = estimate_bilip(m, strategy)
+    assert {name: getattr(rep, name) for name in want} == want
 
 
 class TestWalk:
@@ -202,18 +217,38 @@ class TestWalk:
             assert rep.witness_expand == rep.witness_contract == (0, 1)
             assert rep.pairs_evaluated == len(pairs)
 
-    def test_all_pairs_memory_is_bounded(self):
-        # 16 bytes of index per pair (32 MB) plus one slice; gathering every pair at once needs ~185 MB
-        pts = random_cloud(22, 2000, 3)
-        m = make_map(pts, 2.0 * pts)
+    @staticmethod
+    def traced_peak(m, strategy):
         tracemalloc.start()
         try:
-            rep = estimate_bilip(m, AllPairs())
-            peak = tracemalloc.get_traced_memory()[1]
+            rep = estimate_bilip(m, strategy)
+            return rep, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_all_pairs_memory_is_bounded(self):
+        # no pair list: the coordinate-major copies and one block of 2^16 pairs, about 3 MB;
+        # an index list of every pair alone takes 32 MB at n = 2000
+        pts = random_cloud(22, 2000, 3)
+        rep, peak = self.traced_peak(make_map(pts, 2.0 * pts), AllPairs())
         assert rep.pairs_evaluated == 2000 * 1999 // 2
-        assert peak < 48 * 2**20
+        assert peak < 8 * 2**20
+
+    def test_seeded_random_memory_is_bounded(self):
+        # the two draw arrays (16 MB) and one block; pair arrays kept for every draw add 24 MB
+        pts = random_cloud(23, 10**5, 2)
+        rep, peak = self.traced_peak(make_map(pts, 2.0 * pts), SeededRandom(samples=10**6, seed=0))
+        assert rep.pairs_evaluated + rep.pairs_skipped > 0.99 * 10**6
+        assert peak < 28 * 2**20
+
+    def test_overflowing_distances_keep_their_ratios(self):
+        # distances near 1e180 overflow a plain sum of squares; power-of-two scaling is exact
+        pts = random_cloud(24, 60, 3)
+        cod = pts @ np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]])
+        for strategy in (AllPairs(), SeededRandom(samples=500, seed=3)):
+            base = estimate_bilip(make_map(pts, cod), strategy)
+            big = estimate_bilip(make_map(pts * 2.0**600, cod * 2.0**600), strategy)
+            assert big == base
 
 
 class TestProperties:
