@@ -68,20 +68,16 @@ def _shell_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _bound_text(bound: float) -> str:
+    """``bound`` in ``:g`` form when that reads back to it, else its repr."""
+    short = f"{bound:g}"
+    return short if float(short) == bound else repr(bound)
+
+
 def _seed(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"seed {text!r} is not a non-negative integer")
     return int(text)
-
-
-def _band(text: str) -> float:
-    try:
-        band = float(text)
-    except ValueError:
-        band = float("nan")
-    if not 0.0 <= band < 1.0:
-        raise argparse.ArgumentTypeError(f"band {text!r} is not a number in [0, 1)")
-    return band
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,9 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cones", help="asymptotic directions and the inversion exchange")
     p.add_argument("input")
     p.add_argument("--fraction", type=float, default=0.1)
-    p.add_argument("--band", type=_band, default=None, help="log half-width for a link slice")
     p.add_argument("--shell", type=_shell_range, default=None, metavar="R_MIN:R_MAX",
-                   help="link radius range; the slice sits at its geometric mean")
+                   help="closed radius range of the link to count")
     p.add_argument("--directions", default=None, help="write AtInfinity directions as cloud CSV")
     p.add_argument("--output", default=None, help="report path (stdout when absent)")
     p.set_defaults(func=cmd_cones)
@@ -202,7 +197,7 @@ def cmd_distortion(args) -> tuple[dict, int]:
     if args.shell is not None:
         lo, hi = args.shell
         m = restrict_map(m, lo, hi)
-        shell_text = f"{lo:g}:{hi:g}"
+        shell_text = f"{_bound_text(lo)}:{_bound_text(hi)}"
     if args.strategy == "all":
         strategy = AllPairs()
     else:
@@ -228,10 +223,6 @@ def cmd_distortion(args) -> tuple[dict, int]:
 
 
 def cmd_cones(args) -> tuple[dict, int]:
-    _reject_unread(args, (
-        ("--band", "band", args.shell is not None, "needs --shell to place the link slice"),
-        ("--shell", "shell", args.band is not None, "needs --band to set the width of the link slice"),
-    ))
     cloud = load_cloud(args.input)
     exchange = verify_cone_exchange(cloud, args.fraction)
     at_origin = asymptotic_directions(cloud, ConeKind.AT_ORIGIN, args.fraction)
@@ -260,14 +251,9 @@ def cmd_cones(args) -> tuple[dict, int]:
     outer_min = payload["at_infinity"]["radius_min"]
     payload["shells_overlap"] = outer_min <= inner_max
     payload["shell_gap_log"] = float(np.log(outer_min / inner_max))
-    if args.band is not None:
+    if args.shell is not None:
         lo, hi = args.shell
-        radius = float(np.sqrt(lo * hi))
-        payload["link"] = {
-            "radius": radius,
-            "band": args.band,
-            "count": len(link(cloud, radius, args.band)),
-        }
+        payload["link"] = {"r_min": lo, "r_max": hi, "count": len(link(cloud, lo, hi))}
     if args.directions is not None:
         save_cloud(PointCloud(at_infinity.directions, "directions"), args.directions)
         payload["directions_written"] = args.directions

@@ -21,7 +21,6 @@ from .geometry import PointCloud, invert, norms
 
 MAX_DIRECTIONS = 10**4  # per set; the Hausdorff distance compares every pair
 MIN_SHELL_POINTS = 8  # a rank shell takes at least this many points when the cloud has them
-_BAND_SLACK = 1e-15  # absorbs normalization rounding at band edges
 _BLOCK_PAIRS = 2**16  # squared chords held per block of the Hausdorff pass
 
 
@@ -93,28 +92,25 @@ def asymptotic_directions(cloud: PointCloud, kind: ConeKind, fraction: float = 0
     return DirectionSet(pts / radii[:, None], radii)
 
 
-def link(cloud: PointCloud, radius: float, band: float) -> np.ndarray:
-    """Indices, in cloud order, of the samples in a radial band around ``radius``.
+def link(cloud: PointCloud, r_min: float, r_max: float) -> np.ndarray:
+    """Indices, in cloud order, of the samples with r_min <= |x| <= r_max.
 
     Indices rather than points, so slice identities (such as the
     exchange with inversion) are testable as array equalities.  The
-    symmetrized log band |log|x| - log R| <= band is mapped exactly
-    to itself around 1/R by inversion.  A 1e-15 slack absorbs
-    normalization rounding so band = 0 keeps exact-radius points.
+    shell is closed because inversion carries exactly the closed shell
+    [r_min, r_max] onto [1/r_max, 1/r_min], and sigma onto the closed
+    chordal annulus [2/sqrt(1 + r_max^2), 2/sqrt(1 + r_min^2)] around N.
 
     Raises:
-        InsufficientPoints: if the band is empty.
+        DomainError: unless 0 < r_min < r_max.
+        InsufficientPoints: if the shell is empty.
     """
-    if not radius > 0.0:
-        raise DomainError("link radius must be positive")
-    if not 0.0 <= band < 1.0:
-        raise DomainError("band must lie in [0, 1)")
+    if not 0.0 < r_min < r_max:
+        raise DomainError("link shell needs 0 < r_min < r_max")
     r = cloud.radii()
-    with np.errstate(divide="ignore"):
-        off = np.abs(np.log(r) - math.log(radius))
-    keep = np.flatnonzero((r > 0.0) & (off <= band + _BAND_SLACK))
+    keep = np.flatnonzero((r >= r_min) & (r <= r_max))
     if len(keep) == 0:
-        raise InsufficientPoints(f"no points in the band around radius {radius}")
+        raise InsufficientPoints(f"no points in the shell [{r_min}, {r_max}]")
     return keep
 
 

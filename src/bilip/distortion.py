@@ -25,7 +25,9 @@ import numpy as np
 from .errors import DegenerateMap, DomainError
 from .maps import SampledMap
 
-COINCIDENCE_EPSILON = 1e-12  # relative; closer domain pairs are skipped
+# domain pairs closer than eps * (1 + max(r_i, r_j)) are skipped: absolute below radius 1,
+# relative above it (ROADMAP item 1 asks for a rule relative at every radius)
+COINCIDENCE_EPSILON = 1e-12
 # 2e6 pairs, about 23 ms for a planar map on an idle 2-core Xeon; larger n uses SeededRandom
 ALL_PAIRS_CAP = 2000
 DEFAULT_RANDOM_PAIRS = 10**6
@@ -52,8 +54,8 @@ PairStrategy = Union[AllPairs, SeededRandom]
 class DistortionReport:
     """Extremal ratios with witnessing pair indices.
 
-    ``witness_expand`` and ``witness_contract`` are (i, j) indices into
-    the map's pair list, i < j, ties broken by smallest lexicographic
+    ``witness_expand`` and ``witness_contract`` are (i, j) sample
+    indices of the map, i < j, ties broken by smallest lexicographic
     pair.  An infinite ``l_contract`` records a codomain collision
     between distinct domain samples ("not injective at sample scale").
     """
@@ -150,35 +152,45 @@ def _sum_squares(diff, lo: int, hi: int) -> np.ndarray:
     return total
 
 
-def _distances(w: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _distances(w: np.ndarray, i: np.ndarray, j: np.ndarray, counted: np.ndarray | None) -> np.ndarray:
     """|w_i - w_j| over a block, for coordinate-major points w of shape (q, n).
 
     A squared sum that overflows is recomputed from its differences scaled
     by the power of two of their largest magnitude; the scaling is exact,
     so those entries are finite and every other entry keeps its bits.
+
+    A pair that ``counted`` marks (every pair when None) whose distance
+    exceeds the float range even so raises DomainError.
     """
     with np.errstate(over="ignore"):
         d = np.sqrt(_sum_squares(lambda k: w[k][i] - w[k][j], 0, len(w)))
     if d.max(initial=0.0) == np.inf:
         big = np.nonzero(np.isinf(d))
         ib, jb = np.broadcast_arrays(i, j)
-        diff = w[:, ib[big]] - w[:, jb[big]]
+        with np.errstate(over="ignore"):
+            diff = w[:, ib[big]] - w[:, jb[big]]
         exp = np.frexp(np.abs(diff).max(axis=0))[1]
         scaled = np.ldexp(diff, -exp)
         d[big] = np.ldexp(np.sqrt(_sum_squares(lambda k: scaled[k], 0, len(w))), exp)
+        over = np.isinf(d) if counted is None else np.isinf(d) & counted
+        if over.any():
+            k = over.argmax()
+            raise DomainError(f"the distance of pair ({ib.flat[k]}, {jb.flat[k]}) exceeds the float range")
     return d
 
 
 def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> DistortionReport:
     """Empirical bi-Lipschitz constant of a sampled map.
 
-    Pairs whose domain points are within the relative coincidence
-    threshold are skipped and counted, never silently dropped.  The
-    result is a pure function of the map and the strategy.
+    Pairs closer in the domain than eps * (1 + max(r_i, r_j)) are
+    skipped and counted, never silently dropped.  The result is a pure
+    function of the map and the strategy.
 
     Raises:
         DegenerateMap: if every candidate pair was skipped, or every
             SeededRandom draw was a self-pair.
+        DomainError: if an evaluated pair is farther apart, in the domain
+            or in the codomain, than the largest float.
     """
     n = m.n_pairs
     # coordinate-major copies: each coordinate of a block is one contiguous row
@@ -191,7 +203,7 @@ def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> Distor
     best = [(-np.inf, 0), (-np.inf, 0)]
     evaluated = skipped = 0
     for i, j, valid in _pair_blocks(n, strategy):
-        dx = _distances(u, i, j)
+        dx = _distances(u, i, j, valid)
         keep = dx >= np.maximum(floor[i], floor[j])
         if valid is not None:
             keep &= valid
@@ -201,7 +213,7 @@ def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> Distor
         if not kept:
             continue
         dx[~keep] = np.nan  # both ratios are nan at a dropped pair, and fmax passes over nan
-        dy = _distances(v, i, j)
+        dy = _distances(v, i, j, keep)
         ib, jb = np.broadcast_arrays(i, j)
         with np.errstate(divide="ignore"):
             for slot, ratio in enumerate((dy / dx, dx / dy)):

@@ -164,6 +164,9 @@ class TestDistortion:
         data = json.loads(out.stdout)
         assert data["shell"] == "1:1.5"
         assert data["pairs_evaluated"] > 0
+        # a bound that %g would round is reported in full
+        out = run_cli("distortion", "shell.csv", "--shell", "1.0000001:1.5", cwd=tmp_path)
+        assert json.loads(out.stdout)["shell"] == "1.0000001:1.5"
 
     def test_report_file_output(self, tmp_path):
         path = make_scaling(tmp_path)
@@ -172,6 +175,16 @@ class TestDistortion:
         assert out.stdout == ""
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["bilip_constant"] == 2.0
+
+    def test_pair_beyond_the_float_range_exits_2(self, tmp_path):
+        # |1.5e308 - (-1.5e308)| overflows even after scaling by a power of two
+        write_map(tmp_path / "huge.csv", "1.5e308,0,1.5e308,0\n-1.5e308,0,-1.5e308,0\n2,0,2,0\n",
+                  avoids_origin=True)
+        out = run_cli("distortion", "huge.csv", cwd=tmp_path)
+        assert out.returncode == 2
+        assert "usage error: the distance of pair (0, 1) exceeds the float range" in out.stderr
+        assert "RuntimeWarning" not in out.stderr
+        assert out.stdout == ""
 
     def test_overflowing_pair_distance_is_exact(self, tmp_path):
         # |1e200 - 1| squared overflows; the pair's distances are still 1e200 and 2e200
@@ -242,12 +255,24 @@ class TestCones:
         assert run_cli(
             "generate", "ray", "--n", "30", "--output", "ray.csv", cwd=tmp_path
         ).returncode == 0
-        out = run_cli(
-            "cones", "ray.csv", "--band", "0.01", "--shell", "100000:1000000",
-            cwd=tmp_path,
-        )
+        out = run_cli("cones", "ray.csv", "--shell", "100000:1000000", cwd=tmp_path)
         assert out.returncode == 4
-        assert "no points in the band" in out.stderr
+        assert "no points in the shell [100000.0, 1000000.0]" in out.stderr
+
+    @pytest.mark.parametrize("shell", ["0.01:100", "0.5:2", "1.0000001:10.5"])
+    def test_shell_alone_counts_the_closed_radius_range(self, tmp_path, shell):
+        # 0.01:100 spans a factor 1e4, wider than the e^2 the log band could reach
+        assert run_cli(
+            "generate", "spiral", "--n", "150", "--shell", "0.001:1000", "--output", "sp.csv",
+            cwd=tmp_path,
+        ).returncode == 0
+        out = run_cli("cones", "sp.csv", "--shell", shell, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        lo, hi = map(float, shell.split(":"))
+        r = np.linalg.norm(load_cloud(tmp_path / "sp.csv").points, axis=1)
+        want = int(np.count_nonzero((r >= lo) & (r <= hi)))
+        assert json.loads(out.stdout)["link"] == {"r_min": lo, "r_max": hi, "count": want}
+        assert 0 < want < len(r)
 
     def test_bad_fraction_exits_2_before_other_checks(self, tmp_path, capsys):
         # one nonzero point: with a valid fraction this cloud exits 4
@@ -261,31 +286,22 @@ class TestCones:
         assert captured.out == ""
 
     def test_band_without_shell_exits_2(self, tmp_path):
+        # --band is gone: the link is the --shell range itself
         assert run_cli(
             "generate", "ray", "--n", "30", "--output", "ray.csv", cwd=tmp_path
         ).returncode == 0
         out = run_cli("cones", "ray.csv", "--band", "0.1", cwd=tmp_path)
         assert out.returncode == 2
-        assert "--band needs --shell" in out.stderr
-
-    @pytest.mark.parametrize("option, value, reason", [
-        ("--band", "0.1", "needs --shell to place the link slice"),
-        ("--shell", "0.5:2", "needs --band to set the width of the link slice"),
-    ], ids=["band", "shell"])
-    def test_half_a_link_slice_exits_2_before_any_work(self, tmp_path, capsys, option, value, reason):
-        # checked before the input is read: the file does not exist
-        assert main(["cones", str(tmp_path / "ghost.csv"), option, value]) == 2
-        captured = capsys.readouterr()
-        assert f"usage error: {option} {reason}" in captured.err
-        assert captured.out == ""
+        assert "unrecognized arguments: --band 0.1" in out.stderr
 
     @pytest.mark.parametrize("band", ["2", "1", "-0.1", "nan", "wide"])
     def test_band_outside_the_unit_interval_exits_2_at_parse_time(self, tmp_path, capsys, band):
+        # no --band value is read any more, next to --shell or not
         with pytest.raises(SystemExit) as exit_:
             main(["cones", str(tmp_path / "ghost.csv"), "--shell", "1:2", "--band", band])
         assert exit_.value.code == 2
         captured = capsys.readouterr()
-        assert f"band {band!r} is not a number in [0, 1)" in captured.err
+        assert f"unrecognized arguments: --band {band}" in captured.err
         assert captured.out == ""
 
 

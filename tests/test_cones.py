@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bilip import cones
@@ -22,7 +22,7 @@ from bilip.cones import (
     verify_cone_exchange,
 )
 from bilip.errors import DomainError, InsufficientPoints
-from bilip.geometry import PointCloud, invert
+from bilip.geometry import PointCloud, invert, north_pole, norms, stereo_embed
 
 HALF_PI = math.pi / 2.0
 
@@ -270,60 +270,78 @@ def test_scaling_leaves_directions_fixed(seed, scale):
 
 
 class TestLink:
-    def test_band_zero_keeps_exact_radius(self):
-        rng = np.random.default_rng(5)
-        cloud = PointCloud(unit_rows(rng, 50, 3), "sphere")
-        assert np.array_equal(link(cloud, 1.0, 0.0), np.arange(50))
+    def test_closed_shell_keeps_its_bound_radii(self):
+        # radii 1, 1, 5, 5, 10, all exact in floating point
+        pts = np.array([[1.0, 0.0], [0.0, -1.0], [3.0, 4.0], [0.0, 5.0], [6.0, 8.0]])
+        cloud = PointCloud(pts, "exact")
+        assert np.array_equal(link(cloud, 1.0, 5.0), np.arange(4))
+        assert np.array_equal(link(cloud, 5.0, 10.0), np.array([2, 3, 4]))
 
     def test_middle_shell_only(self):
         pts = np.array([[0.5, 0.0], [0.0, 1.0], [2.0, 0.0]])
-        assert np.array_equal(link(PointCloud(pts, "three"), 1.0, 0.1), np.array([1]))
+        assert np.array_equal(link(PointCloud(pts, "three"), 0.9, 1.1), np.array([1]))
 
-    def test_origin_never_in_log_band(self):
+    def test_origin_never_in_a_shell(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert np.array_equal(link(PointCloud(pts, "pair"), 1.0, 0.5), np.array([1]))
+        assert np.array_equal(link(PointCloud(pts, "pair"), 1e-300, 1.0), np.array([1]))
 
     def test_empty_band_raises(self):
         cloud = PointCloud(np.array([[1.0, 0.0], [2.0, 0.0]]), "pair")
-        with pytest.raises(InsufficientPoints):
-            link(cloud, 100.0, 0.01)
+        with pytest.raises(InsufficientPoints, match=r"no points in the shell \[10.0, 100.0\]"):
+            link(cloud, 10.0, 100.0)
 
     def test_parameter_validation(self):
         cloud = PointCloud(np.array([[1.0, 0.0], [2.0, 0.0]]), "pair")
-        with pytest.raises(DomainError):
-            link(cloud, 0.0, 0.1)
-        with pytest.raises(DomainError):
-            link(cloud, 1.0, 1.0)
+        for r_min, r_max in ((0.0, 1.0), (-1.0, 1.0), (2.0, 2.0), (2.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match=r"link shell needs 0 < r_min < r_max"):
+                link(cloud, r_min, r_max)
 
-    def test_inversion_exchanges_log_bands(self):
-        # |log r - log R| <= b is carried to |log r' - log(1/R)| <= b,
-        # so the slice indices agree after inverting the cloud.
+    def test_wide_shell_is_the_range_itself(self):
+        # a range wider than any log band below 1 could reach (factor e^2)
         cloud = log_spiral()
-        direct = link(cloud, 2.0, 0.4)
-        mirrored = link(PointCloud(invert(cloud.points), "inv"), 0.5, 0.4)
+        r = cloud.radii()
+        want = np.flatnonzero((r >= 0.05) & (r <= 20.0))
+        assert np.array_equal(link(cloud, 0.05, 20.0), want)
+        assert len(want) < len(cloud)
+
+    def test_inversion_exchanges_shells(self):
+        # r in [lo, hi] iff 1/r in [1/hi, 1/lo], so the indices agree after inverting the cloud
+        cloud = log_spiral()
+        direct = link(cloud, 0.3, 4.0)
+        mirrored = link(PointCloud(invert(cloud.points), "inv"), 0.25, 1.0 / 0.3)
         assert np.array_equal(direct, mirrored)
 
 
-@given(seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_link_band_exchange_property(seed):
+def chordal_annulus(cloud: PointCloud, r_min: float, r_max: float) -> np.ndarray:
+    """Indices of the samples whose image under sigma lies in the annulus the shell maps to."""
+    gap = norms(stereo_embed(cloud.points) - north_pole(cloud.dim))
+    lo, hi = 2.0 / math.sqrt(1.0 + r_max**2), 2.0 / math.sqrt(1.0 + r_min**2)
+    return np.flatnonzero((gap >= lo) & (gap <= hi))
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       bounds=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+@settings(max_examples=100, deadline=None)
+def test_link_band_exchange_property(seed, dim, bounds):
+    # the closed shell is carried onto [1/hi, 1/lo] by inversion and onto the chordal
+    # annulus by sigma; bounds kept 1e-9 relative off every radius leave no sample on an edge
+    lo, hi = 10.0 ** min(bounds), 10.0 ** max(bounds)
+    assume(lo < hi)
     rng = np.random.default_rng(seed)
-    radii = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=60))
-    # keep draws away from the band edge so a one-ulp disagreement in
-    # log radius cannot flip membership between the two slices
-    radii = radii[np.abs(np.abs(np.log(radii) - math.log(2.0)) - 0.4) > 1e-6]
-    if len(radii) == 0:
+    radii = 10.0 ** rng.uniform(-2.0, 2.0, size=60)
+    assume(np.all(np.abs(radii / lo - 1.0) > 1e-9) and np.all(np.abs(radii / hi - 1.0) > 1e-9))
+    cloud = PointCloud(unit_rows(rng, 60, dim) * radii[:, None], "cloud")
+    inverted = PointCloud(invert(cloud.points), "inv")
+    selected = chordal_annulus(cloud, lo, hi)
+    if len(selected) == 0:
+        for shell in ((cloud, lo, hi), (inverted, 1.0 / hi, 1.0 / lo)):
+            with pytest.raises(InsufficientPoints):
+                link(*shell)
         return
-    pts = unit_rows(rng, len(radii), 2) * radii[:, None]
-    cloud = PointCloud(pts, "cloud")
-    try:
-        direct = link(cloud, 2.0, 0.4)
-    except InsufficientPoints:
-        with pytest.raises(InsufficientPoints):
-            link(PointCloud(invert(pts), "inv"), 0.5, 0.4)
-        return
-    mirrored = link(PointCloud(invert(pts), "inv"), 0.5, 0.4)
-    assert np.array_equal(direct, mirrored)
+    direct = link(cloud, lo, hi)
+    assert np.array_equal(direct, np.flatnonzero((radii >= lo) & (radii <= hi)))
+    assert np.array_equal(direct, link(inverted, 1.0 / hi, 1.0 / lo))
+    assert np.array_equal(direct, selected)
 
 
 class TestConeOver:
@@ -333,7 +351,7 @@ class TestConeOver:
         rng = np.random.default_rng(13)
         base = direction_set(unit_rows(rng, 6, 3))
         cone = PointCloud(np.vstack([t * base.directions for t in (1.0, 2.0, 4.0)]), "cone")
-        pts = cone.points[link(cone, 2.0, 0.0)]
+        pts = cone.points[link(cone, 1.5, 3.0)]
         r = np.linalg.norm(pts, axis=1)
         recovered = DirectionSet(pts / r[:, None], r)
         assert len(recovered) == len(base)

@@ -250,6 +250,22 @@ class TestWalk:
             big = estimate_bilip(make_map(pts * 2.0**600, cod * 2.0**600), strategy)
             assert big == base
 
+    def test_distance_beyond_the_float_range_raises(self):
+        # |1.5e308 - (-1.5e308)| overflows even after the power-of-two rescaling
+        far = np.array([[1.5e308, 0.0], [-1.5e308, 0.0], [2.0, 0.0]])
+        near = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
+        for domain, codomain in ((far, far), (near, far)):
+            for strategy in (AllPairs(), SeededRandom(samples=50, seed=0)):
+                with pytest.raises(DomainError, match=r"pair \(0, 1\) exceeds the float range"):
+                    estimate_bilip(make_map(domain, codomain), strategy)
+
+    def test_skipped_pair_may_lie_beyond_the_float_range(self):
+        # the coincident domain pair (0, 1) is skipped, so its image distance is never used
+        dom = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        cod = np.array([[1.5e308, 0.0], [-1.5e308, 0.0], [2.0, 0.0]])
+        report = estimate_bilip(make_map(dom, cod))
+        assert (report.pairs_evaluated, report.pairs_skipped) == (2, 1)
+
 
 class TestProperties:
     def test_monotonicity_nested_subsets(self):

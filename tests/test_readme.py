@@ -1,9 +1,12 @@
 """The README's library example runs as written, and its command-line
-section names exactly the options the parser has."""
+section names exactly the options the parser has, in examples that parse."""
 
 import argparse
 import pathlib
 import re
+import shlex
+
+import pytest
 
 from bilip.cli import build_parser
 from bilip.fixtures import map_samples
@@ -11,6 +14,10 @@ from bilip.serialize import save_map
 from cli_runner import run_python
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def command_line_section() -> str:
+    return README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
 
 
 def test_library_example_runs(tmp_path):
@@ -25,7 +32,7 @@ def test_library_example_runs(tmp_path):
 
 
 def test_command_line_section_names_every_option():
-    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    section = command_line_section()
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = {
@@ -37,3 +44,14 @@ def test_command_line_section_names_every_option():
     }
     assert sorted(options - named) == [], "options the README does not name"
     assert sorted(named - options) == [], "options the README names that no command has"
+
+
+def test_command_line_examples_parse():
+    lines = [line for line in command_line_section().splitlines() if line.startswith("bilip ")]
+    assert len(lines) >= 11
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
