@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import fixtures, verify
-from .cones import ConeKind, asymptotic_directions, link, verify_cone_exchange
+from .cones import ConeKind, asymptotic_directions, check_fraction, link, verify_cone_exchange
 from .distortion import DEFAULT_RANDOM_PAIRS, AllPairs, SeededRandom, estimate_bilip
 from .errors import (
     BilipError,
@@ -223,7 +223,10 @@ def cmd_distortion(args) -> tuple[dict, int]:
 
 
 def cmd_cones(args) -> tuple[dict, int]:
+    # cheap checks first: a bad fraction or an empty link fails before the cone pass
+    check_fraction(args.fraction)
     cloud = load_cloud(args.input)
+    linked = None if args.shell is None else len(link(cloud, *args.shell))
     exchange = verify_cone_exchange(cloud, args.fraction)
     at_origin = asymptotic_directions(cloud, ConeKind.AT_ORIGIN, args.fraction)
     at_infinity = asymptotic_directions(cloud, ConeKind.AT_INFINITY, args.fraction)
@@ -253,7 +256,7 @@ def cmd_cones(args) -> tuple[dict, int]:
     payload["shell_gap_log"] = float(np.log(outer_min / inner_max))
     if args.shell is not None:
         lo, hi = args.shell
-        payload["link"] = {"r_min": lo, "r_max": hi, "count": len(link(cloud, lo, hi))}
+        payload["link"] = {"r_min": lo, "r_max": hi, "count": linked}
     if args.directions is not None:
         save_cloud(PointCloud(at_infinity.directions, "directions"), args.directions)
         payload["directions_written"] = args.directions

@@ -11,14 +11,15 @@ over coordinate-major copies of the two point sets, so no list of pairs
 is ever built: AllPairs holds the copies and one block (about 3 MB at
 2000 samples in the plane), SeededRandom its two arrays of draws (16
 bytes per draw) besides.  Squared differences are added coordinate by
-coordinate in the order np.add.reduce adds a row, so every distance has
-the bits of np.linalg.norm(..., axis=1) whatever the blocking and q.
+coordinate in index order, k = 0, 1, ..., q - 1, so every distance has the
+bits of the plain sequential sum of squares, then sqrt, for any q and any
+blocking.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -117,38 +118,13 @@ def _pair_blocks(
         raise DomainError(f"unknown pair strategy: {strategy!r}")
 
 
-def _square(d: np.ndarray) -> np.ndarray:
-    return np.multiply(d, d, out=d)
-
-
-def _sum_squares(diff, lo: int, hi: int) -> np.ndarray:
-    """The sum over lo <= k < hi of diff(k)**2, added in the order np.add.reduce uses along a row.
-
-    ``diff(k)`` returns an array that is squared in place.  numpy adds a
-    row of fewer than 8 in sequence, up to 128 in eight interleaved
-    partial sums folded ((0+1)+(2+3))+((4+5)+(6+7)) before the rest, and
-    splits a longer row of c at c//2 - (c//2)%8; following it keeps the
-    bits of np.linalg.norm(..., axis=1) for every q.
-    """
-    count = hi - lo
-    if count < 8:
-        total = _square(diff(lo))
-        for k in range(lo + 1, hi):
-            total += _square(diff(k))
-        return total
-    if count <= 128:
-        acc = [_square(diff(k)) for k in range(lo, lo + 8)]
-        rest = hi - count % 8
-        for k in range(lo + 8, rest):
-            acc[(k - lo) % 8] += _square(diff(k))
-        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
-        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
-        for k in range(rest, hi):
-            total += _square(diff(k))
-        return total
-    half = count // 2 - (count // 2) % 8
-    total = _sum_squares(diff, lo, lo + half)
-    total += _sum_squares(diff, lo + half, hi)
+def _sum_squares(diffs: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of the squares of ``diffs``, added in index order; each array is squared in place."""
+    diffs = iter(diffs)
+    total = next(diffs)
+    np.multiply(total, total, out=total)
+    for d in diffs:
+        total += np.multiply(d, d, out=d)
     return total
 
 
@@ -163,7 +139,7 @@ def _distances(w: np.ndarray, i: np.ndarray, j: np.ndarray, counted: np.ndarray 
     exceeds the float range even so raises DomainError.
     """
     with np.errstate(over="ignore"):
-        d = np.sqrt(_sum_squares(lambda k: w[k][i] - w[k][j], 0, len(w)))
+        d = np.sqrt(_sum_squares(w[k][i] - w[k][j] for k in range(len(w))))
     if d.max(initial=0.0) == np.inf:
         big = np.nonzero(np.isinf(d))
         ib, jb = np.broadcast_arrays(i, j)
@@ -171,7 +147,7 @@ def _distances(w: np.ndarray, i: np.ndarray, j: np.ndarray, counted: np.ndarray 
             diff = w[:, ib[big]] - w[:, jb[big]]
         exp = np.frexp(np.abs(diff).max(axis=0))[1]
         scaled = np.ldexp(diff, -exp)
-        d[big] = np.ldexp(np.sqrt(_sum_squares(lambda k: scaled[k], 0, len(w))), exp)
+        d[big] = np.ldexp(np.sqrt(_sum_squares(scaled)), exp)
         over = np.isinf(d) if counted is None else np.isinf(d) & counted
         if over.any():
             k = over.argmax()

@@ -29,7 +29,10 @@ def format_float(x: float) -> str:
 
 
 def _parse_float(token: str, where: str) -> float:
+    # float() alone would also read digit separators ('1_0') and non-ASCII digits
     try:
+        if "_" in token or not token.isascii():
+            raise ValueError(token)
         return float(token)
     except ValueError as exc:
         raise ParseError(f"bad float {token!r} in {where}") from exc
@@ -66,8 +69,9 @@ def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
 
     ``header_error(header)`` returns why the header is unacceptable, or
     None.  Every row must carry exactly as many fields as the header, and
-    every field a finite float.  Each row is one line of the file, so the
-    table's row k sits on line k + 2.
+    every field a finite float written in ASCII without '_' separators.
+    Each row is one line of the file, so the table's row k sits on line
+    k + 2.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -84,6 +88,8 @@ def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
             if len(row) != q:
                 raise ParseError(f"{path}:{lineno} has {len(row)} fields, expected {q}")
             try:
+                if "_" in line or not line.isascii():
+                    raise ValueError(line)
                 rows.append([float(v) for v in row])
             except ValueError:
                 # only a failing row pays for naming its line and first bad token

@@ -285,6 +285,21 @@ class TestCones:
         assert "shell fraction must lie in (0, 1]" in captured.err
         assert captured.out == ""
 
+    def test_empty_shell_exits_4_before_the_cone_pass(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "ray.csv")
+        assert main(["generate", "ray", "--n", "30", "--output", path]) == 0
+
+        def cone_pass(*args):
+            raise AssertionError("the cone pass ran")
+
+        monkeypatch.setattr(bilip.cli, "verify_cone_exchange", cone_pass)
+        capsys.readouterr()
+        assert main(["cones", path, "--shell", "1e6:1e7"]) == 4
+        assert "no points in the shell" in capsys.readouterr().err
+        # a bad fraction still wins over the empty shell
+        assert main(["cones", path, "--fraction", "0", "--shell", "1e6:1e7"]) == 2
+        assert "shell fraction must lie in (0, 1]" in capsys.readouterr().err
+
     def test_band_without_shell_exits_2(self, tmp_path):
         # --band is gone: the link is the --shell range itself
         assert run_cli(

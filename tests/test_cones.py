@@ -98,7 +98,7 @@ def laid_out(rows: np.ndarray, layout: str) -> np.ndarray:
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    q=st.integers(1, 6),
+    q=st.integers(1, 20),
     n_a=st.integers(1, 300),
     n_b=st.integers(1, 300),
     layout=st.sampled_from(("C", "F", "strided")),

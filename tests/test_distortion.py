@@ -125,8 +125,11 @@ def drawn_pairs(n: int, strategy: SeededRandom) -> list[tuple[int, int]]:
 
 
 def row_norm(v: np.ndarray) -> float:
-    # a one-row stack takes the same reduction as each row of a block, so bits agree for any q
-    return float(np.linalg.norm(v[None, :], axis=1)[0])
+    """|v| from its squares added one by one in index order, the kernel's rule for any q."""
+    total = 0.0
+    for x in v.tolist():
+        total += x * x
+    return math.sqrt(total)
 
 
 def per_pair_reference(m: SampledMap, pairs) -> dict | None:
@@ -190,10 +193,11 @@ def test_walk_matches_per_pair_reference(seed, n, q, lattice, drawn, block):
     assert rep.bilip_constant == max(want["l_expand"], want["l_contract"])
 
 
-@pytest.mark.parametrize("q", [127, 128, 129, 300])
+@pytest.mark.parametrize("q", [8, 9, 127, 128, 129, 300])
 @pytest.mark.parametrize("drawn", [False, True], ids=["all", "random"])
 def test_wide_rows_match_per_pair_reference(q, drawn):
-    # numpy sums a row of more than 128 in split halves; 127..129 and 300 reach every branch
+    # q = 8 is the first width where index order and numpy's pairwise row sum can
+    # differ; 127..129 straddle numpy's 128-wide blocks and 300 its split in halves
     rng = np.random.default_rng(q)
     dom = rng.normal(size=(12, q)) * np.exp(rng.normal(size=(12, q)))
     m = make_map(dom, np.tanh(dom) * 3.0)

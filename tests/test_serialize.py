@@ -125,6 +125,13 @@ class TestCloud:
             path = table_file(tmp_path, kind, "1.0,two\n")
             assert_rejected(path, f"bad float 'two' in {path}:2", capsys)
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11.5", "\u00a02.0"])
+    def test_rejects_tokens_float_would_coerce(self, tmp_path, capsys, token):
+        # float() reads digit separators, non-ASCII digits and non-ASCII spaces
+        for kind in TABLE_HEADERS:
+            path = table_file(tmp_path, kind, f"1.0,2.0\n3.0,{token}\n")
+            assert_rejected(path, f"bad float {token!r} in {path}:3", capsys)
+
     def test_rejects_quoted_field_at_its_own_line(self, tmp_path, capsys):
         # rows are plain comma-separated floats: a quote is a bad token, and a
         # quoted line break does not join two lines into one row
