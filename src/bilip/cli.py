@@ -46,12 +46,11 @@ def _reject_unread(args, rules) -> None:
     """Raise "OPTION REASON" as a usage error for the first rule given but not read.
 
     A rule is (option, argparse dest, read, reason); an option is given
-    when its value is neither None nor False.  Commands check before
-    reading any input, so a dropped option costs no work.
+    when its value is not None.  Commands check before reading any input,
+    so a dropped option costs no work.
     """
     for option, dest, read, reason in rules:
-        value = getattr(args, dest)
-        if value is not None and value is not False and not read:
+        if getattr(args, dest) is not None and not read:
             raise DomainError(f"{option} {reason}")
 
 
@@ -121,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--pairs", type=int, default=None,
                    help="pair count for the identity sweeps (default 2000)")
-    p.add_argument("--renormalize-beta", action="store_true",
-                   help="gate the renormalized near-pole chart instead of only reporting it")
     p.add_argument("--output", default=None, help="report path (stdout when absent)")
     p.set_defaults(func=cmd_verify)
 
@@ -264,16 +261,12 @@ def cmd_cones(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    identities = args.suite in ("all", "identities")
-    reason = f"applies only to the identities suite, not to {args.suite}"
     _reject_unread(args, (
-        ("--pairs", "pairs", identities, reason),
-        ("--renormalize-beta", "renormalize_beta", identities, reason),
+        ("--pairs", "pairs", args.suite in ("all", "identities"),
+         f"applies only to the identities suite, not to {args.suite}"),
     ))
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    options = {"gate_renormalized_chart": args.renormalize_beta}
-    if args.pairs is not None:
-        options["pairs"] = args.pairs
+    options = {} if args.pairs is None else {"pairs": args.pairs}
     suites = [verify.run_suite(name, seed=args.seed, **(options if name == "identities" else {}))
               for name in names]
     passed = all(s["passed"] for s in suites)

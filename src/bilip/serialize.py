@@ -28,16 +28,6 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_float(token: str, where: str) -> float:
-    # float() alone would also read digit separators ('1_0') and non-ASCII digits
-    try:
-        if "_" in token or not token.isascii():
-            raise ValueError(token)
-        return float(token)
-    except ValueError as exc:
-        raise ParseError(f"bad float {token!r} in {where}") from exc
-
-
 def _cloud_header(q: int) -> list[str]:
     return [f"x{i}" for i in range(1, q + 1)]
 
@@ -58,54 +48,64 @@ def _write_table(path, header: list[str], *blocks: np.ndarray) -> None:
     Rows are formatted and written one at a time; no text copy of the
     whole table is built.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(",".join(header) + "\r\n")
         for parts in zip(*blocks):
             fh.write(",".join([format_float(v) for part in parts for v in part.tolist()]) + "\r\n")
 
 
-def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
-    """The float rows of a headed CSV table, shape (n, number of header fields).
+def _rows(fh):
+    """The lines of ``fh``; ValueError where np.loadtxt would skip a blank line, strip a
+    control character around a field, or only warn that there is no data line."""
+    line = None
+    for line in fh:
+        if line == "\n" or not line.rstrip("\n").isprintable():
+            raise ValueError(f"blank or unprintable line {line!r}")
+        yield line
+    if line is None:
+        raise ValueError("no data line")
 
-    ``header_error(header)`` returns why the header is unacceptable, or
-    None.  Every row must carry exactly as many fields as the header, and
-    every field a finite float written in ASCII without '_' separators.
-    Each row is one line of the file, so the table's row k sits on line
-    k + 2.
-    """
-    with open(path) as fh:
-        first = fh.readline()
-        if not first:
-            raise ParseError(f"{path} is empty")
-        header = _fields(first)
-        problem = header_error(header)
+
+def _read_table(path: pathlib.Path, header_error) -> np.ndarray:
+    """The float rows of a headed CSV table, shape (n, number of header fields);
+    ``header_error(header)`` says why the header is unacceptable, or returns None."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            header = _fields(fh.readline())
+            if header_error(header) is None:
+                table = np.loadtxt(_rows(fh), delimiter=",", comments=None, quotechar=None, ndmin=2)
+                if table.shape[1] == len(header) and np.isfinite(table).all():
+                    return table
+    except ValueError:  # UnicodeDecodeError too
+        pass
+    raise _fault(path, header_error)
+
+
+def _fault(path: pathlib.Path, header_error) -> ParseError:
+    """Why ``_read_table`` rejects ``path``, from one pass that decodes UTF-8 with backslash escapes:
+    an empty file, the header, a line's field count or first bad token, a non-finite value, no rows."""
+    with open(path, encoding="utf-8", errors="backslashreplace") as fh:
+        header = _fields(first := fh.readline())
+        problem = header_error(header) if first else "is empty"
         if problem is not None:
-            raise ParseError(f"{path} {problem}")
-        q = len(header)
-        rows = []
+            return ParseError(f"{path} {problem}")
+        non_finite = None
         for lineno, line in enumerate(fh, start=2):
             row = _fields(line)
-            if len(row) != q:
-                raise ParseError(f"{path}:{lineno} has {len(row)} fields, expected {q}")
-            try:
-                if "_" in line or not line.isascii():
-                    raise ValueError(line)
-                rows.append([float(v) for v in row])
-            except ValueError:
-                # only a failing row pays for naming its line and first bad token
-                rows.append([_parse_float(v, f"{path}:{lineno}") for v in row])
-    if not rows:
-        raise ParseError(f"{path} holds no points")
-    table = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(table).all():
-        # float() takes nan and inf; one vectorised check keeps the rows
-        # free of a per-value test, and only a failure re-reads the file
-        # to name the line and the token as written
-        index, column = np.argwhere(~np.isfinite(table))[0]
-        with open(path) as fh:
-            row = _fields(fh.readlines()[index + 1])
-        raise ParseError(f"non-finite value {row[column]!r} in {path}:{index + 2}")
-    return table
+            if len(row) != len(header):
+                return ParseError(f"{path}:{lineno} has {len(row)} fields, expected {len(header)}")
+            for token in row:
+                try:
+                    # float() alone would also read '1_0', non-ASCII digits and a tab
+                    if "_" in token or not (token.isascii() and token.isprintable()):
+                        raise ValueError(token)
+                    value = float(token)
+                except ValueError:
+                    return ParseError(f"bad float {token!r} in {path}:{lineno}")
+                if non_finite is None and not np.isfinite(value):
+                    non_finite = ParseError(f"non-finite value {token!r} in {path}:{lineno}")
+    # np.loadtxt and float() read printable ASCII alike, so a file whose lines all pass has no rows
+    return non_finite or ParseError(f"{path} holds no points")
 
 
 def save_cloud(cloud: PointCloud, path) -> None:
@@ -148,8 +148,8 @@ def load_map(path) -> SampledMap:
     if not side.exists():
         raise ParseError(f"missing sidecar {side}")
     try:
-        meta = json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(side.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{side} is not valid JSON: {exc}") from exc
     if not isinstance(meta, dict) or set(meta) != META_KEYS:
         raise ParseError(f"{side} must hold exactly the keys {sorted(META_KEYS)}")

@@ -9,6 +9,8 @@ import math
 import pathlib
 import re
 import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +56,17 @@ def reference_flags(dom: list, cod: list) -> tuple[bool, bool]:
     zero = [i for i, r in enumerate(dom_radii) if r == 0.0]
     fixes = len(zero) == 1 and cod_radii[zero[0]] == 0.0
     return fixes, min(dom_radii + cod_radii) >= 1e-9
+
+
+@st.composite
+def float_token(draw) -> str:
+    """A finite float as a file may hold it: repr, %.17e or %.40e, maybe '+'-signed or padded."""
+    x = draw(st.floats(allow_nan=False, allow_infinity=False)
+             | st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308]))
+    token = draw(st.sampled_from(["%r", "%.17e", "%.40e"])) % x
+    if not token.startswith("-") and draw(st.booleans()):
+        token = "+" + token
+    return draw(st.sampled_from(["{}", " {}", "{} ", "  {}  "])).format(token)
 
 
 TABLE_HEADERS = {"cloud": "x1,x2", "map": "x1,y1"}
@@ -116,18 +129,24 @@ class TestCloud:
             load_cloud(path)
 
     def test_rejects_ragged_row(self, tmp_path, capsys):
+        # a blank line is a row of 0 fields, never skipped
         for kind in TABLE_HEADERS:
-            path = table_file(tmp_path, kind, "1.0,2.0\n3.0\n")
-            assert_rejected(path, f"{path}:3 has 1 fields, expected 2", capsys)
+            for rows, count in (("1.0,2.0\n3.0\n", 1), ("1.0,2.0\n\n3.0,4.0\n", 0)):
+                path = table_file(tmp_path, kind, rows)
+                assert_rejected(path, f"{path}:3 has {count} fields, expected 2", capsys)
 
     def test_rejects_bad_float(self, tmp_path, capsys):
         for kind in TABLE_HEADERS:
             path = table_file(tmp_path, kind, "1.0,two\n")
             assert_rejected(path, f"bad float 'two' in {path}:2", capsys)
 
-    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11.5", "\u00a02.0"])
+    @pytest.mark.parametrize("token", [
+        "1_0", "\u0661", "\uff11.5", "\u00a02.0", "\t4.0", "4.0\x0c", "4.0\x1f", "4.0#5",
+    ])
     def test_rejects_tokens_float_would_coerce(self, tmp_path, capsys, token):
-        # float() reads digit separators, non-ASCII digits and non-ASCII spaces
+        # float() reads digit separators, non-ASCII digits and non-ASCII spaces, and strips a
+        # tab, \x0b or \x0c around a token; np.loadtxt also strips \x1c-\x1f and can read '#'
+        # as the start of a comment
         for kind in TABLE_HEADERS:
             path = table_file(tmp_path, kind, f"1.0,2.0\n3.0,{token}\n")
             assert_rejected(path, f"bad float {token!r} in {path}:3", capsys)
@@ -148,6 +167,29 @@ class TestCloud:
                 path = table_file(tmp_path, kind, f"1.0,2.0\n3.0,4.0\n5.0,{token}\n{token},6.0\n")
                 assert_rejected(path, f"non-finite value {token!r} in {path}:4", capsys)
 
+    @given(st.lists(st.lists(float_token(), min_size=2, max_size=2), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_tokens_load_as_float_reads_them(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "c.csv"
+            path.write_text("x1,x2\n" + "".join(",".join(row) + "\n" for row in rows))
+            points = load_cloud(path).points
+        assert points.tobytes() == np.array([[float(t) for t in row] for row in rows]).tobytes()
+
+    def test_load_memory_is_bounded(self, tmp_path):
+        # the result (1.6 MB) and numpy's chunk of parsed lines; a Python float
+        # list per row took 18 MB
+        path = tmp_path / "c.csv"
+        save_cloud(PointCloud(np.random.default_rng(5).normal(size=(10**5, 2))), path)
+        tracemalloc.start()
+        try:
+            cloud = load_cloud(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cloud.points.shape == (10**5, 2)
+        assert peak <= 4 * 2**20
+
     def test_rejects_empty_file(self, tmp_path, capsys):
         for kind in TABLE_HEADERS:
             path = table_file(tmp_path, kind, None)
@@ -156,7 +198,9 @@ class TestCloud:
     def test_rejects_header_only(self, tmp_path, capsys):
         for kind in TABLE_HEADERS:
             path = table_file(tmp_path, kind, "")
-            assert_rejected(path, f"{path} holds no points", capsys)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the message alone, without a reader's warning
+                assert_rejected(path, f"{path} holds no points", capsys)
 
 
 class TestMap:
