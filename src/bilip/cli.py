@@ -213,6 +213,7 @@ def cmd_distortion(args) -> tuple[dict, int]:
         },
         "pairs_evaluated": report.pairs_evaluated,
         "pairs_skipped": report.pairs_skipped,
+        "pairs_self": report.pairs_self,
         "strategy": args.strategy,
         "shell": shell_text,
     }

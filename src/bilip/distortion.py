@@ -59,6 +59,10 @@ class DistortionReport:
     indices of the map, i < j, ties broken by smallest lexicographic
     pair.  An infinite ``l_contract`` records a codomain collision
     between distinct domain samples ("not injective at sample scale").
+    ``pairs_self`` counts the SeededRandom draws with i == j, which are
+    neither evaluated nor skipped (always 0 for AllPairs), so
+    ``pairs_evaluated + pairs_skipped + pairs_self`` is the number of
+    pairs the strategy names.
     """
 
     l_expand: float
@@ -68,6 +72,7 @@ class DistortionReport:
     witness_contract: tuple[int, int]
     pairs_evaluated: int
     pairs_skipped: int
+    pairs_self: int
 
 
 class RadialReport(NamedTuple):
@@ -199,6 +204,8 @@ def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> Distor
     if not evaluated:
         raise DegenerateMap("all candidate pairs are coincident in the domain")
     (l_expand, expand_key), (l_contract, contract_key) = best
+    # SeededRandom draws with i == j never reach a block
+    self_pairs = strategy.samples - evaluated - skipped if isinstance(strategy, SeededRandom) else 0
     return DistortionReport(
         l_expand=l_expand,
         l_contract=l_contract,
@@ -207,6 +214,7 @@ def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> Distor
         witness_contract=divmod(-contract_key, n),
         pairs_evaluated=evaluated,
         pairs_skipped=skipped,
+        pairs_self=self_pairs,
     )
 
 

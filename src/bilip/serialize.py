@@ -2,6 +2,7 @@
 
 Coordinates are written with repr, Python's shortest round-trip float
 format, so save followed by load reproduces every value bit for bit.
+Large tables are formatted on every usable CPU, with the same bytes.
 Sampled maps carry a JSON sidecar next to the CSV with the metadata the
 CSV cannot hold; it restates the origin flags, which the samples decide.
 """
@@ -10,7 +11,9 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 import pathlib
+from functools import partial
 
 import numpy as np
 
@@ -22,10 +25,7 @@ SCHEMA_VERSION = 1
 META_KEYS = frozenset(
     {"q1", "q2", "fixes_origin", "avoids_origin", "unbounded_domain", "ambient"}
 )
-
-
-def format_float(x: float) -> str:
-    return repr(float(x))
+_CHUNK_ROWS = 8192  # rows formatted by one % call; the written bytes do not depend on it
 
 
 def _cloud_header(q: int) -> list[str]:
@@ -42,16 +42,45 @@ def _fields(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
+def _format_rows(line: str, rows: np.ndarray) -> str:
+    """``rows`` as text, one ``line`` per row, from a single % call; ``line`` holds one %r per column."""
+    # Python floats: %r of a np.float64 is 'np.float64(...)' under numpy 2
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _format_pool(chunks: int):
+    """A fork pool with one worker per usable CPU, at most ``chunks``; None when fewer than two
+    workers would run or the platform cannot fork."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if min(cpus, chunks) < 2:
+        return None
+    import multiprocessing  # here: at module level it would lengthen every command's import
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork").Pool(min(cpus, chunks))
+
+
 def _write_table(path, header: list[str], *blocks: np.ndarray) -> None:
     """Write ``header``, then one CRLF-ended line per row index: that row of every block.
 
-    Rows are formatted and written one at a time; no text copy of the
-    whole table is built.
+    Every value goes through Python's float repr, in chunks of _CHUNK_ROWS
+    rows.  A table of several chunks is formatted on a pool of forked
+    processes, one per usable CPU, and written in row order; the pool ends
+    before this returns, on success or on error.  The bytes do not depend on
+    the number of CPUs.
     """
+    table = np.hstack(blocks)
+    line = ",".join(["%r"] * table.shape[1]) + "\r\n"
+    chunks = [table[s:s + _CHUNK_ROWS] for s in range(0, len(table), _CHUNK_ROWS)]
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(",".join(header) + "\r\n")
-        for parts in zip(*blocks):
-            fh.write(",".join([format_float(v) for part in parts for v in part.tolist()]) + "\r\n")
+        pool = _format_pool(len(chunks))
+        if pool is None:
+            fh.writelines(_format_rows(line, c) for c in chunks)
+        else:
+            with pool:
+                fh.writelines(pool.imap(partial(_format_rows, line), chunks))
 
 
 def _rows(fh):

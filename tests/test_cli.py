@@ -37,6 +37,18 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_process_pools_out(tmp_path):
+    # only writing a table of several chunks starts a pool; importing one would slow every command
+    out = run_python(
+        "-c",
+        "import sys, bilip.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))",
+        cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def write_map(path, rows, fixes_origin=False, avoids_origin=False):
     """A bounded affine 2-d map file with the given data rows and sidecar flags."""
     path.write_text("x1,x2,y1,y2\n" + rows)
@@ -206,6 +218,16 @@ class TestDistortion:
         )
         assert out.returncode == 4
         assert "self-pairs" in out.stderr
+
+    def test_pair_counts_add_up_to_the_draws(self, tmp_path):
+        path = make_scaling(tmp_path)
+        out = run_cli("distortion", str(path), "--strategy", "random", "--pairs", "1000", cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        data = json.loads(out.stdout)
+        assert data["pairs_self"] > 0
+        assert data["pairs_evaluated"] + data["pairs_skipped"] + data["pairs_self"] == 1000
+        out = run_cli("distortion", str(path), cwd=tmp_path)
+        assert json.loads(out.stdout)["pairs_self"] == 0
 
     def test_zero_random_pairs_exits_2(self, tmp_path):
         path = make_scaling(tmp_path)
@@ -482,6 +504,17 @@ class TestUsageErrors:
         assert "cannot write output:" in captured.err
         assert repr(target) in captured.err
         assert captured.out == ""
+
+    @pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full device")
+    def test_full_device_ends_the_formatting_pool(self, tmp_path, capsys):
+        # 1e5 pairs are formatted on a pool of workers, which must end with the failed write:
+        # a worker left behind would hold the child's pipes open, and the run would time out
+        assert main(["generate", "shear", "--n", "100000", "--output", str(tmp_path / "m.csv")]) == 0
+        out = run_cli("compactify", "m.csv", "--output", "/dev/full", cwd=tmp_path, timeout=60)
+        assert out.returncode == 2
+        assert "cannot write output: [Errno 28]" in out.stderr
+        assert out.stdout == ""
+        assert not sidecar_path("/dev/full").exists()
 
     @pytest.mark.parametrize("command", ["distortion", "invert"])
     def test_missing_input_is_named_as_read(self, tmp_path, monkeypatch, capsys, command):

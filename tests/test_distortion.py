@@ -73,6 +73,14 @@ class TestEstimate:
         rep = estimate_bilip(make_map(pts, pts))
         assert rep.pairs_skipped == 1
         assert rep.pairs_evaluated == 2
+        assert rep.pairs_self == 0
+
+    def test_self_pairs_are_counted(self):
+        # two samples: a draw names the same index twice with probability 1/2
+        pts = np.array([[1.0, 0.0], [2.0, 0.0]])
+        rep = estimate_bilip(make_map(pts, pts), SeededRandom(samples=1000, seed=0))
+        assert 400 < rep.pairs_self < 600
+        assert rep.pairs_evaluated + rep.pairs_skipped + rep.pairs_self == 1000
 
     def test_degenerate_map(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -190,6 +198,7 @@ def test_walk_matches_per_pair_reference(seed, n, q, lattice, drawn, block):
     got = {name: getattr(rep, name) for name in want}
     assert got == want
     assert [type(value) for value in got.values()] == [type(value) for value in want.values()]
+    assert rep.pairs_self == (strategy.samples - len(pairs) if drawn else 0)
     assert rep.bilip_constant == max(want["l_expand"], want["l_contract"])
 
 

@@ -6,6 +6,8 @@ coordinate bit for bit, not merely within a tolerance.
 
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import re
 import tempfile
@@ -22,8 +24,8 @@ from bilip.errors import ParseError
 from bilip.geometry import PointCloud
 from bilip.maps import Ambient, SampledMap, compactify_map
 from bilip.serialize import (
+    _CHUNK_ROWS,
     dumps_report,
-    format_float,
     load_cloud,
     load_map,
     save_cloud,
@@ -94,15 +96,74 @@ def assert_rejected(path, reason, capsys):
     assert reason in capsys.readouterr().err
 
 
-class TestFloatFormat:
-    def test_short_decimals_stay_short(self):
-        assert format_float(0.1) == "0.1"
-        assert format_float(2.0) == "2.0"
+def repr_table(header: str, table: np.ndarray) -> bytes:
+    """The bytes a table file must hold: the header, then each row's float reprs, CRLF-ended."""
+    lines = [header] + [",".join(map(repr, row)) for row in table.tolist()]
+    return "".join(line + "\r\n" for line in lines).encode("ascii")
 
-    @given(st.floats(allow_nan=False, allow_infinity=False))
+
+# every float, and the edges where repr switches notation (1e16, 1e-4) or leaves the normals
+TABLE_FLOATS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(9.99e15, 1.001e16) | st.floats(-1.001e16, -9.99e15)
+    | st.floats(9.99e-5, 1.001e-4) | st.floats(9.99e-6, 1.001e-5)
+    | st.floats(-4e-308, 4e-308)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 1e-4])
+)
+
+
+class TestTableFormat:
+    def test_short_decimals_stay_short(self, tmp_path):
+        path = tmp_path / "c.csv"
+        save_cloud(PointCloud(np.array([[0.1, 2.0]]), "c"), path)
+        assert path.read_text().splitlines()[1] == "0.1,2.0"
+
+    @given(st.integers(1, 4).flatmap(
+        lambda q: st.lists(st.lists(TABLE_FLOATS, min_size=q, max_size=q), min_size=1, max_size=6)))
     @settings(max_examples=200, deadline=None)
-    def test_round_trip_is_exact(self, x):
-        assert float(format_float(x)) == x
+    def test_lines_are_repr_and_read_back_bitwise(self, rows):
+        table = np.array(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "c.csv"
+            save_cloud(PointCloud(table, "c"), path)
+            header = ",".join(f"x{i}" for i in range(1, table.shape[1] + 1))
+            assert path.read_bytes() == repr_table(header, table)
+            assert load_cloud(path).points.tobytes() == table.tobytes()
+
+    @staticmethod
+    def chunked_table(n: int, q: int) -> np.ndarray:
+        """n rows of wide exponents, with ±0, subnormals and 5e-324 on the rows around each chunk edge."""
+        rng = np.random.default_rng(n)
+        table = rng.normal(size=(n, q)) * 10.0 ** rng.uniform(-300, 300, size=(n, q))
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-5]
+        for edge in range(0, n + 1, _CHUNK_ROWS):
+            for row in (edge - 1, edge):
+                if 0 <= row < n:
+                    table[row] = rng.choice(special, size=q)
+        table[-1] = rng.choice(special, size=q)
+        return table
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 5 * _CHUNK_ROWS // 2])
+    def test_chunked_tables_are_repr(self, tmp_path, monkeypatch, n, cpus):
+        # the bytes may not depend on the chunking or on the number of CPUs that format them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cloud = self.chunked_table(n, 3)
+        save_cloud(PointCloud(cloud, "c"), tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == repr_table("x1,x2,x3", cloud)
+        table = self.chunked_table(n, 4)
+        m = SampledMap(domain=PointCloud(table[:, :1]), codomain=PointCloud(table[:, 1:]))
+        save_map(m, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == repr_table("x1,y1,y2,y3", table)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full device")
+    def test_failed_write_ends_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cloud = PointCloud(self.chunked_table(3 * _CHUNK_ROWS, 2), "c")
+        with pytest.raises(OSError, match=r"\[Errno 28\]"):
+            save_cloud(cloud, "/dev/full")
+        assert multiprocessing.active_children() == []
 
 
 class TestCloud:
