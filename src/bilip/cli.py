@@ -353,6 +353,10 @@ def main(argv=None) -> int:
     except BilipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except MemoryError as exc:
+        # a count too large to allocate, such as --n 10**15; numpy names the refused array
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     if report_path is None:
         sys.stdout.write(text)
     return code

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InsufficientPoints
-from .geometry import PointCloud, invert, norms
+from .geometry import PointCloud, invert, norms, sum_squares
 
 MAX_DIRECTIONS = 10**4  # per set; the Hausdorff distance compares every pair
 MIN_SHELL_POINTS = 8  # a rank shell takes at least this many points when the cloud has them
@@ -125,12 +125,10 @@ def angular_hausdorff(a: DirectionSet, b: DirectionSet) -> float:
     One pass over blocks of rows of ``a`` computes each squared chord once
     and serves both directions: the row minima are the nearest squared
     chords a -> b, the column minima, folded across blocks, those b -> a.
-    Squares are summed coordinate by coordinate in index order, the rule
-    of the distortion kernel too, so every squared chord has the bits of
-    the plain sequential sum for any q, blocking or memory layout, and
-    h(a, b) == h(b, a) bit for bit.  The square root and arcsine run only
-    on the len(a) + len(b) minima; sqrt is monotone and correctly rounded,
-    so sqrt(min d^2) == min sqrt(d^2).
+    Squares are summed by ``geometry.sum_squares``, so h(a, b) == h(b, a)
+    bit for bit.  The square root and arcsine run only on the len(a) +
+    len(b) minima; sqrt is monotone and correctly rounded, so
+    sqrt(min d^2) == min sqrt(d^2).
     The pass needs numpy alone: a kd-tree would import scipy, and that
     import costs a command several times what this pass takes on two sets
     of 5000.
@@ -155,12 +153,7 @@ def angular_hausdorff(a: DirectionSet, b: DirectionSet) -> float:
     for start in range(0, n, step):
         stop = min(start + step, n)
         d2, sq = d2_buf[: stop - start], sq_buf[: stop - start]
-        np.subtract(u[0, start:stop, None], v[0], out=d2)
-        np.multiply(d2, d2, out=d2)
-        for k in range(1, a.dim):
-            np.subtract(u[k, start:stop, None], v[k], out=sq)
-            np.multiply(sq, sq, out=sq)
-            np.add(d2, sq, out=d2)
+        sum_squares(np.subtract(u[k, start:stop, None], v[k], out=sq if k else d2) for k in range(a.dim))
         d2.min(axis=1, out=row[start:stop])
         np.minimum(col, d2.min(axis=0), out=col)
     chords = np.minimum(np.sqrt(np.concatenate((row, col))), 2.0)

@@ -11,7 +11,7 @@ point) per row.  Any other shape is a ``DomainError`` that names it.
 from __future__ import annotations
 
 import dataclasses
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -67,6 +67,20 @@ def _max_abs(p: np.ndarray) -> np.ndarray:
     for k in range(1, p.shape[1]):
         np.maximum(m, a[:, k], out=m)
     return m
+
+
+def sum_squares(diffs: Iterable[np.ndarray]) -> np.ndarray:
+    """The sum of the squares of ``diffs``, added in index order; each array is squared in place.
+
+    The rule of every pair distance and chord: each entry has the bits of
+    the plain sequential sum of squares for any q, blocking or layout.
+    """
+    diffs = iter(diffs)
+    total = next(diffs)
+    np.multiply(total, total, out=total)
+    for d in diffs:
+        total += np.multiply(d, d, out=d)
+    return total
 
 
 def norms(x) -> np.ndarray:

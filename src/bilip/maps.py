@@ -176,10 +176,7 @@ def restrict_map(m: SampledMap, r_min: float, r_max: float) -> SampledMap:
     if not 0.0 <= r_min < r_max:
         raise DomainError("need 0 <= r_min < r_max")
     radii = m.domain.radii()
-    if np.isinf(r_max):
-        keep = radii >= r_min
-    else:
-        keep = (radii >= r_min) & (radii < r_max)
+    keep = (radii >= r_min) & (radii < r_max)
     if int(keep.sum()) < 2:
         raise EmptyRestriction(f"shell [{r_min}, {r_max}) keeps {int(keep.sum())} pairs")
     label = m.domain.label

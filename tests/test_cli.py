@@ -235,6 +235,21 @@ class TestDistortion:
         assert out.returncode == 2
         assert "need at least one sampled pair" in out.stderr
 
+    def test_pairs_over_the_budget_exit_2(self, tmp_path):
+        path = make_scaling(tmp_path)
+        out = run_cli("distortion", str(path), "--strategy", "random", "--pairs", "16777217", cwd=tmp_path)
+        assert out.returncode == 2
+        assert "usage error: 16777217 sampled pairs exceed the pair budget 16777216" in out.stderr
+        assert out.stdout == ""
+
+    def test_generated_map_of_2000_samples_takes_all_pairs(self, tmp_path):
+        # generate adds 4 probes and the origin pair to the 2000 samples
+        assert run_cli("generate", "shear", "--n", "2000", "--output", "m.csv", cwd=tmp_path).returncode == 0
+        out = run_cli("distortion", "m.csv", cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        data = json.loads(out.stdout)
+        assert data["pairs_evaluated"] + data["pairs_skipped"] == 2005 * 2004 // 2
+
     @pytest.mark.parametrize("options", [
         ["--pairs", "0", "--seed", "9"], ["--seed", "9"], ["--strategy", "all", "--pairs", "5"],
     ], ids=["pairs-and-seed", "seed", "explicit-all"])
@@ -416,6 +431,18 @@ class TestDeterminism:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "identities", "--pairs", "1000000000000000"],
+        ["generate", "shear", "--n", "1000000000000000", "--output", "x.csv"],
+    ], ids=["verify", "generate"])
+    def test_count_too_large_to_allocate_exits_2(self, tmp_path, argv):
+        # 10^15 rows of floats take petabytes, more than any 64-bit address space holds
+        out = run_cli(*argv, cwd=tmp_path)
+        assert out.returncode == 2
+        assert out.stderr.startswith("usage error: Unable to allocate")
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_fixture_exits_2(self, tmp_path):
         out = run_cli("generate", "klein-bottle", "--output", "x.csv", cwd=tmp_path)
         assert out.returncode == 2

@@ -7,13 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bilip import distortion
 from bilip.errors import DegenerateMap, DomainError
 from bilip.geometry import PointCloud
 from bilip.distortion import AllPairs, SeededRandom, estimate_bilip, radial_comparability
+from bilip.fixtures import map_samples
 from bilip.maps import SampledMap, SamplerConfig, compactify_map, invert_map, registry, sample_analytic
 
 
@@ -63,10 +64,22 @@ class TestEstimate:
         assert rep.bilip_constant == pytest.approx(f.bilip_constant, abs=1e-6)
         assert rep.bilip_constant <= f.bilip_constant + 1e-9
 
-    def test_all_pairs_cap_enforced(self):
-        pts = random_cloud(5, 2001, 2)
-        with pytest.raises(DomainError, match="2001 samples exceed the all-pairs cap 2000"):
-            estimate_bilip(make_map(pts, pts), AllPairs())
+    def test_all_pairs_budget_enforced(self):
+        # 8 samples name 28 pairs: within a budget of 28, one pair over a budget of 27
+        pts = random_cloud(5, 8, 2)
+        with mock.patch.object(distortion, "PAIR_BUDGET", 28):
+            assert estimate_bilip(make_map(pts, pts), AllPairs()).pairs_evaluated == 28
+        with mock.patch.object(distortion, "PAIR_BUDGET", 27):
+            with pytest.raises(DomainError, match="8 samples give 28 pairs, over the pair budget 27"):
+                estimate_bilip(make_map(pts, pts), AllPairs())
+
+    def test_seeded_random_budget_enforced(self):
+        pts = random_cloud(5, 8, 2)
+        with mock.patch.object(distortion, "PAIR_BUDGET", 100):
+            rep = estimate_bilip(make_map(pts, pts), SeededRandom(samples=100, seed=0))
+            assert rep.pairs_evaluated + rep.pairs_skipped + rep.pairs_self == 100
+            with pytest.raises(DomainError, match="101 sampled pairs exceed the pair budget 100"):
+                estimate_bilip(make_map(pts, pts), SeededRandom(samples=101, seed=0))
 
     def test_coincident_pairs_skipped_and_counted(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -81,6 +94,17 @@ class TestEstimate:
         rep = estimate_bilip(make_map(pts, pts), SeededRandom(samples=1000, seed=0))
         assert 400 < rep.pairs_self < 600
         assert rep.pairs_evaluated + rep.pairs_skipped + rep.pairs_self == 1000
+
+    def test_zero_rows_and_tiny_radii_follow_the_relative_floor(self):
+        # the two zero rows (0, 1) are skipped, and so are (2, 3), 2^-44 apart at radius 1e-300;
+        # every zero row against a point at radius 1e-300 is kept, though its squares underflow
+        tiny = np.array([[0.0, 0.0], [0.0, 0.0], [1e-300, 0.0], [1e-300 * (1.0 + 2.0**-44), 0.0]])
+        for strategy in (AllPairs(), SeededRandom(samples=200, seed=0)):
+            rep = estimate_bilip(make_map(tiny, 2.0 * tiny), strategy)
+            assert (rep.l_expand, rep.l_contract, rep.bilip_constant) == (2.0, 0.5, 2.0)
+            assert rep.witness_expand == rep.witness_contract == (0, 2)
+            if strategy == AllPairs():
+                assert (rep.pairs_evaluated, rep.pairs_skipped) == (4, 2)
 
     def test_degenerate_map(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -146,7 +170,7 @@ def per_pair_reference(m: SampledMap, pairs) -> dict | None:
     kept, skipped = [], 0
     for i, j in pairs:
         dx = row_norm(dom[i] - dom[j])
-        if dx < distortion.COINCIDENCE_EPSILON * (1.0 + max(r[i], r[j])):
+        if dx <= distortion.COINCIDENCE_EPSILON * max(r[i], r[j]):
             skipped += 1
             continue
         dy = row_norm(cod[i] - cod[j])
@@ -217,6 +241,30 @@ def test_wide_rows_match_per_pair_reference(q, drawn):
     assert {name: getattr(rep, name) for name in want} == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(("shear", "diag-1-3", "radial-shell-1.25", "scale-10")),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-1013, 999),
+    drawn=st.booleans(),
+    block=st.sampled_from((1, distortion._BLOCK_PAIRS)),
+)
+def test_scaled_map_gives_the_unscaled_report(name, seed, k, drawn, block):
+    # squares of distances below 2^-240 underflow and above 2^512 overflow; the floor is relative
+    m = map_samples(name, count=35, seed=seed)
+    assert m.n_pairs <= 40
+    # a coordinate, difference or distance scaled below 2^-1022 is a subnormal float and
+    # keeps fewer than 53 bits, so only scalings that keep each of them normal are exact
+    parts = [np.abs(p[:, None] - p[None, :]).ravel() for p in (m.domain.points, m.codomain.points)]
+    parts += [np.abs(m.domain.points).ravel(), np.abs(m.codomain.points).ravel()]
+    magnitudes = np.concatenate(parts)
+    assume(np.ldexp(magnitudes[magnitudes > 0.0].min(), k) >= 2.0**-1022)
+    scaled = make_map(np.ldexp(m.domain.points, k), np.ldexp(m.codomain.points, k))
+    strategy = SeededRandom(samples=300, seed=seed) if drawn else AllPairs()
+    with mock.patch.object(distortion, "_BLOCK_PAIRS", block):
+        assert estimate_bilip(scaled, strategy) == estimate_bilip(m, strategy)
+
+
 class TestWalk:
     def test_tied_pair_drawn_first_loses_to_the_smaller_pair(self):
         # every pair of three collinear, evenly spaced samples has ratio 1
@@ -253,15 +301,6 @@ class TestWalk:
         rep, peak = self.traced_peak(make_map(pts, 2.0 * pts), SeededRandom(samples=10**6, seed=0))
         assert rep.pairs_evaluated + rep.pairs_skipped > 0.99 * 10**6
         assert peak < 28 * 2**20
-
-    def test_overflowing_distances_keep_their_ratios(self):
-        # distances near 1e180 overflow a plain sum of squares; power-of-two scaling is exact
-        pts = random_cloud(24, 60, 3)
-        cod = pts @ np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]])
-        for strategy in (AllPairs(), SeededRandom(samples=500, seed=3)):
-            base = estimate_bilip(make_map(pts, cod), strategy)
-            big = estimate_bilip(make_map(pts * 2.0**600, cod * 2.0**600), strategy)
-            assert big == base
 
     def test_distance_beyond_the_float_range_raises(self):
         # |1.5e308 - (-1.5e308)| overflows even after the power-of-two rescaling
