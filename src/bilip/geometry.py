@@ -195,18 +195,14 @@ def pole_chart_exact(y) -> np.ndarray:
     """Half-ball chart at the north pole, sphere-exact form.
 
     Maps y in the closed half-ball |y| <= 1/2 to
-    (2y/(1+|y|^2), (1-|y|^2)/(1+|y|^2)), which lies exactly on the unit
-    sphere, sends 0 to the pole and the boundary |y| = 1/2 to the
-    latitude 3/5, and satisfies chart(invert(x)) = stereo_embed(x) for
-    every |x| >= 2.
+    (2y/(1+|y|^2), (1-|y|^2)/(1+|y|^2)): ``stereo_embed(y)`` with its
+    last coordinate negated, that is, the embedding seen from the south
+    pole.  The image lies on the unit sphere, sends 0 to the pole and
+    the boundary |y| = 1/2 to the latitude 3/5, and satisfies
+    chart(invert(x)) = stereo_embed(x) for every |x| >= 2.
     """
-    pts, r = _chart_domain(y)
-    n, q = pts.shape
-    r2 = r * r
-    denom = 1.0 + r2
-    out = np.empty((n, q + 1))
-    out[:, :q] = 2.0 * pts / denom[:, None]
-    out[:, q] = (1.0 - r2) / denom
+    out = stereo_embed(_chart_domain(y)[0])
+    out[:, -1] = -out[:, -1]
     return out
 
 

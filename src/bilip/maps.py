@@ -196,8 +196,9 @@ class AnalyticMap:
     ``bilip_constant`` is the true bi-Lipschitz constant on
     ``domain_radii`` when known, None otherwise (as for the deliberate
     non-example).  ``singular_dirs`` are unit directions attaining the
-    extremal ratios (when known), along which ``sample_analytic`` adds
-    probe rows.
+    extremal ratios of a non-conformal map, along which
+    ``sample_analytic`` adds probe rows.  Whether the map fixes the
+    origin is not stated: ``sample_analytic`` asks ``func``.
     """
 
     name: str
@@ -205,7 +206,6 @@ class AnalyticMap:
     dim_out: int
     func: Callable[[np.ndarray], np.ndarray]
     bilip_constant: float | None
-    fixes_origin: bool
     domain_radii: tuple[float, float] = (0.0, np.inf)
     singular_dirs: tuple = ()
 
@@ -249,10 +249,11 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
     Radii are log-uniform on [r_min, r_max] intersected with the map's
     own radial domain; directions are uniform on the sphere.  The map,
     not the config, decides the rest: +/- rows along each singular
-    direction (so linear maps attain their extremal ratios exactly),
-    the (0, 0) pair when f fixes an origin inside its domain, and
-    ``unbounded_domain`` when the domain has no outer radius.  The same
-    seed and config reproduce the clouds bit for bit.
+    direction (so non-conformal linear maps attain their extremal ratios
+    exactly), the (0, 0) pair when the domain reaches radius 0 and
+    ``func`` maps 0 to 0, and ``unbounded_domain`` when the domain has
+    no outer radius.  The same seed and config reproduce the clouds bit
+    for bit.
     """
     lo = max(config.r_min, f.domain_radii[0])
     hi = min(config.r_max, f.domain_radii[1])
@@ -271,9 +272,12 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
             probes.append(probe_r * np.asarray(u, dtype=np.float64))
             probes.append(-probe_r * np.asarray(u, dtype=np.float64))
         dom = np.vstack([dom, np.array(probes)])
-    if f.fixes_origin and f.domain_radii[0] == 0.0:
-        dom = np.vstack([dom, np.zeros(f.dim_in)])
-    cod = np.asarray(f.func(dom), dtype=np.float64)
+    origin = np.zeros((1, f.dim_in))
+    # an image that overflows is rejected below, by the name of the map
+    with np.errstate(over="ignore", invalid="ignore"):
+        if f.domain_radii[0] == 0.0 and not np.any(f.func(origin)):
+            dom = np.vstack([dom, origin])
+        cod = np.asarray(f.func(dom), dtype=np.float64)
     if cod.shape != (len(dom), f.dim_out) or not np.all(np.isfinite(cod)):
         raise DomainError(f"evaluator of {f.name} returned a malformed image")
     return SampledMap(
@@ -287,110 +291,99 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
 def linear_analytic(name: str, matrix) -> AnalyticMap:
     """Wrap a square matrix; the constant comes from an SVD oracle.
 
-    The bi-Lipschitz constant of x -> Mx is max(s_max, 1/s_min); the
-    top/bottom right-singular directions are kept as attainment probes.
+    The bi-Lipschitz constant of x -> Mx is max(s_max, 1/s_min).  When
+    s_max > s_min, the top and bottom right-singular directions are kept
+    as attainment probes; a conformal map attains its constant at every
+    pair, so it gets none.
+
+    Raises:
+        DomainError: if the matrix is not square, has a non-finite entry
+            or is singular.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("linear registry maps must be square")
+    if not np.all(np.isfinite(m)):
+        raise DomainError(f"matrix of {name} has non-finite entries")
     _, s, vt = np.linalg.svd(m)
     if s[-1] <= 0.0:
         raise DomainError("singular matrix is not bi-Lipschitz")
-    constant = float(max(s[0], 1.0 / s[-1]))
     return AnalyticMap(
         name=name,
         dim_in=m.shape[1],
         dim_out=m.shape[0],
         func=lambda pts, _m=m: pts @ _m.T,
-        bilip_constant=constant,
-        fixes_origin=True,
-        singular_dirs=(vt[0].copy(), vt[-1].copy()),
+        bilip_constant=float(max(s[0], 1.0 / s[-1])),
+        singular_dirs=(vt[0].copy(), vt[-1].copy()) if s[0] > s[-1] else (),
     )
 
 
 def scaling_analytic(factor: float, dim: int = 2) -> AnalyticMap:
+    """The linear map x -> factor * x of R^dim, from outside options.
+
+    Raises:
+        DomainError: unless 0 < factor < inf and dim >= 1.
+    """
     if not factor > 0.0:
         raise DomainError("scaling factor must be positive")
-    return AnalyticMap(
-        name=f"scale-{factor:g}",
-        dim_in=dim,
-        dim_out=dim,
-        func=lambda pts, _f=factor: _f * pts,
-        bilip_constant=float(max(factor, 1.0 / factor)),
-        fixes_origin=True,
-    )
+    if dim < 1:
+        raise DomainError(f"directions need dim >= 1, got {dim}")
+    if not np.isfinite(factor):
+        raise DomainError(f"scaling factor must be finite, got {factor}")
+    return linear_analytic(f"scale-{factor:g}", factor * np.eye(dim))
 
 
 def radial_power_analytic(exponent: float, r_lo: float, r_hi: float) -> AnalyticMap:
     """x -> |x|^(t-1) x on the planar shell r_lo <= |x| <= r_hi, t >= 1.
 
-    On the shell the chord ratio is a mediant of the radial difference
-    quotient (<= t r_hi^(t-1)) and (a^t+b^t)/(a+b) (<= max^(t-1)), so
-    the constant t * r_hi^(t-1) is attained radially at the outer edge
-    and the contraction side never drops below 1.
+    Write a pair as (a u, b v) with unit u, v.  The squared chord ratio
+    is a mediant of the squared radial difference quotient
+    ((a^t - b^t)/(a - b))^2, which lies in [t^2 r_lo^(2t-2), t^2 r_hi^(2t-2)],
+    and of (ab)^(t-1), which lies in [r_lo^(2t-2), r_hi^(2t-2)].  So the
+    constant is max(t r_hi^(t-1), r_lo^(1-t)): the expansion is approached
+    radially at the outer edge, and the contraction r_lo^(t-1) is the
+    ratio of every same-radius pair at the inner edge.  When r_lo = 0 <
+    t - 1 the contraction is unbounded and the constant is None.
     """
     if exponent < 1.0:
         raise DomainError("shell constant formula assumes exponent >= 1")
-    if not 0.0 < r_lo <= r_hi:
-        raise DomainError("need 0 < r_lo <= r_hi")
+    if not 0.0 <= r_lo <= r_hi:
+        raise DomainError("need 0 <= r_lo <= r_hi")
 
     def func(pts: np.ndarray, _t=exponent) -> np.ndarray:
         r = norms(pts)
         return np.power(r, _t - 1.0)[:, None] * pts
 
+    constant = None
+    if r_lo > 0.0 or exponent == 1.0:
+        constant = float(max(exponent * r_hi ** (exponent - 1.0), r_lo ** (1.0 - exponent)))
     return AnalyticMap(
         name=f"radial-shell-{exponent:g}",
         dim_in=2,
         dim_out=2,
         func=func,
-        bilip_constant=float(exponent * r_hi ** (exponent - 1.0)),
-        fixes_origin=False,
+        bilip_constant=constant,
         domain_radii=(r_lo, r_hi),
-    )
-
-
-def radial_square_analytic() -> AnalyticMap:
-    """The planar non-example x -> |x| x on [0, 1]: not bi-Lipschitz near 0."""
-
-    def func(pts: np.ndarray) -> np.ndarray:
-        return norms(pts)[:, None] * pts
-
-    return AnalyticMap(
-        name="radial-square",
-        dim_in=2,
-        dim_out=2,
-        func=func,
-        bilip_constant=None,
-        fixes_origin=True,
-        domain_radii=(0.0, 1.0),
     )
 
 
 def registry() -> dict[str, AnalyticMap]:
     """The oracle family: maps with independently known constants.
 
-    Contains the identity, scalings by 1/2, 2, 10, a diagonal linear
-    map, the unit shear, two radial shell maps, and the flagged
-    non-example.  Constants for the linear members come from the SVD
-    oracle in ``linear_analytic``.
+    Two constructors build every member.  ``linear_analytic`` gives the
+    identity, the scalings by 1/2, 2 and 10, a diagonal linear map and
+    the unit shear, with constants from its SVD oracle.
+    ``radial_power_analytic`` gives two radial shell maps and the
+    flagged non-example ``radial-square``: t = 2 on [0, 1], which is not
+    bi-Lipschitz near 0 and so has no constant.
     """
-    identity = AnalyticMap(
-        name="identity",
-        dim_in=2,
-        dim_out=2,
-        func=lambda pts: pts.copy(),
-        bilip_constant=1.0,
-        fixes_origin=True,
-    )
     members = [
-        identity,
-        scaling_analytic(0.5),
-        scaling_analytic(2.0),
-        scaling_analytic(10.0),
+        linear_analytic("identity", np.eye(2)),
+        *(linear_analytic(f"scale-{c:g}", c * np.eye(2)) for c in (0.5, 2.0, 10.0)),
         linear_analytic("diag-1-3", [[1.0, 0.0], [0.0, 3.0]]),
         linear_analytic("shear", [[1.0, 0.0], [0.5, 1.0]]),
         radial_power_analytic(1.0, 1.0, 2.0),
         radial_power_analytic(1.25, 1.0, 2.0),
-        radial_square_analytic(),
+        dataclasses.replace(radial_power_analytic(2.0, 0.0, 1.0), name="radial-square"),
     ]
     return {f.name: f for f in members}

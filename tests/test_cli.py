@@ -479,6 +479,16 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not output.exists()
 
+    @pytest.mark.parametrize("factor, reason", [
+        ("inf", "scaling factor must be finite, got inf"),
+        ("1e308", "evaluator of scale-1e+308 returned a malformed image"),  # the image overflows
+    ])
+    def test_unrepresentable_scaling_exits_2_with_one_line(self, tmp_path, factor, reason):
+        out = run_cli("generate", "scaling", "--lambda", factor, "--output", "s.csv", cwd=tmp_path)
+        assert out.returncode == 2
+        assert out.stderr == f"usage error: {reason}\n"  # no numpy warning ahead of it
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_dimension_below_one_exits_2(self, tmp_path, dim):
         # --dim 0 once drew zero-length directions forever

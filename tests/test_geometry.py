@@ -155,6 +155,15 @@ class TestPoleChart:
         with pytest.raises(DomainError, match=r"\|y\| <= 1/2 \(row 1\)"):
             pole_chart_exact([[0.5, 0.0], [0.51, 0.0]])
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 6])
+    def test_exact_variant_is_its_printed_formula(self, q):
+        rng = np.random.default_rng(30 + q)
+        y = unit_rows(rng, 200, q) * rng.uniform(0.0, 0.5, size=200)[:, None]
+        y[0] = 0.0
+        r2 = norms(y) ** 2
+        want = np.column_stack([2.0 * y / (1.0 + r2)[:, None], (1.0 - r2) / (1.0 + r2)])
+        assert np.array_equal(pole_chart_exact(y), want)
+
     def test_exact_variant_on_sphere_and_latitude(self):
         rng = np.random.default_rng(31)
         y = unit_rows(rng, 300, 3) * rng.uniform(0.0, 0.5, size=300)[:, None]

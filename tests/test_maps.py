@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilip.errors import DomainError, EmptyRestriction, HypothesisError
-from bilip.geometry import PointCloud
+from bilip.geometry import PointCloud, norms
 from bilip.maps import (
     Ambient,
     AnalyticMap,
@@ -12,6 +12,8 @@ from bilip.maps import (
     SamplerConfig,
     compactify_map,
     invert_map,
+    linear_analytic,
+    radial_power_analytic,
     registry,
     restrict_map,
     sample_analytic,
@@ -372,7 +374,23 @@ class TestRegistry:
     def test_non_example_flagged(self):
         f = registry()["radial-square"]
         assert f.bilip_constant is None
-        assert f.fixes_origin
+        assert sample_analytic(f, SamplerConfig(count=10, r_min=0.1, r_max=1.0)).fixes_origin
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_merged_members_sample_their_reference_formulas(self, seed):
+        reg = registry()
+        cfg = SamplerConfig(count=300, r_min=1e-2, r_max=1e2, seed=seed)
+        for name, factor in (("identity", 1.0), ("scale-0.5", 0.5), ("scale-2", 2.0), ("scale-10", 10.0)):
+            m = sample_analytic(reg[name], cfg)
+            assert m.n_pairs == 301, name  # the draws and the origin pair, no probe rows
+            assert np.array_equal(m.codomain.points, factor * m.domain.points), name
+        m = sample_analytic(reg["radial-square"], cfg)
+        d = m.domain.points
+        assert np.array_equal(m.codomain.points, norms(d)[:, None] * d)
+
+    def test_non_finite_matrix_rejected_before_the_svd(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            linear_analytic("bad", [[np.inf, 0.0], [0.0, 1.0]])
 
     def test_evaluators_vectorized(self):
         reg = registry()
@@ -383,10 +401,14 @@ class TestRegistry:
 
 
 class TestAnalyticSandwichProperty:
+    # shells reaching inside the unit circle, where the contraction r_lo^(1-t)
+    # is the constant: each once stated only the expansion t r_hi^(t-1)
+    INNER_SHELLS = [(1.25, 0.01, 2.0), (1.5, 0.1, 1.0), (2.0, 0.05, 0.5)]
+
     def test_all_known_constants_hold_on_samples(self):
-        reg = registry()
+        shells = [radial_power_analytic(*args) for args in self.INNER_SHELLS]
         rng_seed = 17
-        for f in reg.values():
+        for f in [*registry().values(), *shells]:
             if f.bilip_constant is None:
                 continue
             lo, hi = f.domain_radii
@@ -405,5 +427,5 @@ class TestAnalyticSandwichProperty:
             keep = dx > 1e-12
             ratio = dy[keep] / dx[keep]
             a = f.bilip_constant
-            assert ratio.max() <= a + 1e-9, f.name
-            assert ratio.min() >= 1.0 / a - 1e-9, f.name
+            assert ratio.max() <= a + 1e-9, (f.name, f.domain_radii)
+            assert ratio.min() >= 1.0 / a - 1e-9, (f.name, f.domain_radii)
