@@ -36,6 +36,7 @@ from .distortion import (
 )
 from .errors import (
     BilipError,
+    DegenerateData,
     DegenerateMap,
     DomainError,
     EmptyRestriction,
@@ -81,6 +82,7 @@ __all__ = [
     "AnalyticMap",
     "BilipError",
     "ConeKind",
+    "DegenerateData",
     "DegenerateMap",
     "DirectionSet",
     "DistortionReport",

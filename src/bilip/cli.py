@@ -8,7 +8,8 @@ pure function of --seed, so repeated invocations with equal flags
 produce byte-identical output.
 
 Exit codes: 0 success, 1 failed verification assertion, 2 parse or
-usage error, 3 origin-hypothesis violation, 4 degenerate data.
+usage error, 3 origin-hypothesis violation, 4 degenerate data; each
+toolkit error class in ``bilip.errors`` states its own code and prefix.
 """
 
 from __future__ import annotations
@@ -22,24 +23,14 @@ import numpy as np
 from . import fixtures, verify
 from .cones import ConeKind, asymptotic_directions, check_fraction, link, verify_cone_exchange
 from .distortion import DEFAULT_RANDOM_PAIRS, AllPairs, SeededRandom, estimate_bilip
-from .errors import (
-    BilipError,
-    DegenerateMap,
-    DomainError,
-    EmptyRestriction,
-    HypothesisError,
-    InsufficientPoints,
-    OriginError,
-    ParseError,
-    PoleError,
-)
+from .errors import BilipError, DomainError, ParseError
 from .geometry import PointCloud, invert
 from .maps import SamplerConfig, compactify_map, invert_map, restrict_map, sample_analytic, scaling_analytic
 from .serialize import dumps_report, load_cloud, load_map, save_cloud, save_map, sidecar_path
 
 USAGE_EXIT = 2
-HYPOTHESIS_EXIT = 3
-DEGENERATE_EXIT = 4
+# the options that take a float, whose value may start with "-"
+FLOAT_OPTIONS = ("--fraction", "--lambda")
 
 
 def _reject_unread(args, rules) -> None:
@@ -77,6 +68,30 @@ def _seed(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"seed {text!r} is not a non-negative integer")
     return int(text)
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_float_values(argv: list[str]) -> list[str]:
+    """Join ``--lambda -1e3`` into ``--lambda=-1e3`` when ``float`` reads the value.
+
+    argparse takes a token that starts with "-" for an option unless it
+    looks like -5 or -.5, so ``--lambda -1e3`` failed as "expected one
+    argument" instead of with the library's reason.
+    """
+    glued: list[str] = []
+    for token in argv:
+        if glued and glued[-1] in FLOAT_OPTIONS and _reads_as_float(token):
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    return glued
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +338,7 @@ def cmd_generate(args) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else list(argv)))
     report_path = args.output if args.command in ("distortion", "cones", "verify") else None
     try:
         payload, code = args.func(args)
@@ -331,27 +346,15 @@ def main(argv=None) -> int:
         if report_path is not None:
             with open(report_path, "w") as fh:
                 fh.write(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (HypothesisError, OriginError, PoleError) as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return HYPOTHESIS_EXIT
-    except (DegenerateMap, EmptyRestriction, InsufficientPoints) as exc:
-        print(f"degenerate data: {exc}", file=sys.stderr)
-        return DEGENERATE_EXIT
-    except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    except BilipError as exc:
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         # a command reads only its input and that file's sidecar; every other path it writes
         source = getattr(args, "input", None)
         read = source is not None and exc.filename is not None and (
             pathlib.Path(exc.filename) in (pathlib.Path(source), sidecar_path(source)))
         print(f"cannot {'read input' if read else 'write output'}: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except BilipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except MemoryError as exc:
         # a count too large to allocate, such as --n 10**15; numpy names the refused array

@@ -8,6 +8,7 @@ equality, not value closeness.  Every child is started through
 first on its PYTHONPATH; the first test checks that the child agrees.
 """
 
+import argparse
 import json
 import pathlib
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import bilip
-from bilip.cli import main
+from bilip.cli import FLOAT_OPTIONS, build_parser, main
 from bilip.serialize import load_cloud, load_map, sidecar_path
 from cli_runner import run_cli, run_python
 
@@ -434,12 +435,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["verify", "identities", "--pairs", "1000000000000000"],
         ["generate", "shear", "--n", "1000000000000000", "--output", "x.csv"],
-    ], ids=["verify", "generate"])
+        ["generate", "spiral", "--n", "99999999999999", "--output", "x.csv"],
+    ], ids=["verify", "generate", "generate-cloud"])
     def test_count_too_large_to_allocate_exits_2(self, tmp_path, argv):
-        # 10^15 rows of floats take petabytes, more than any 64-bit address space holds
+        # 10^14 and 10^15 rows of floats take hundreds of TiB, more than the address space holds
         out = run_cli(*argv, cwd=tmp_path)
         assert out.returncode == 2
         assert out.stderr.startswith("usage error: Unable to allocate")
+        assert out.stderr.count("\n") == 1
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "x.csv").exists()
 
@@ -523,6 +526,49 @@ class TestUsageErrors:
         assert f"seed {argv[argv.index('--seed') + 1]!r} is not a non-negative integer" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "scaling", "--lambda", "-1e3", "--output", "s.csv"],
+        ["generate", "scaling", "--lambda", "-inf", "--output", "s.csv"],
+        ["generate", "scaling", "--lambda=-1e3", "--output", "s.csv"],
+        ["generate", "scaling", "--lambda", "-0.5", "--output", "s.csv"],
+    ], ids=["exponent", "inf", "glued", "decimal"])
+    def test_negative_scaling_factor_names_its_reason(self, tmp_path, monkeypatch, capsys, argv):
+        # argparse took "-1e3" and "-inf" for options and said "expected one argument"
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: scaling factor must be positive\n"
+        assert captured.out == ""
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_float_options_are_the_float_typed_options(self):
+        # main joins a negative value to exactly these options before argparse reads them
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        typed = {
+            option
+            for sub in commands.choices.values()
+            for action in sub._actions
+            if action.type is float
+            for option in action.option_strings
+        }
+        assert typed == set(FLOAT_OPTIONS)
+
+    @pytest.mark.parametrize("fraction", ["-1e-3", "-inf", "-0.5"])
+    def test_negative_fraction_names_its_reason(self, tmp_path, capsys, fraction):
+        # checked before the input is read: the file does not exist
+        assert main(["cones", str(tmp_path / "ghost.csv"), "--fraction", fraction]) == 2
+        assert capsys.readouterr().err == "usage error: shell fraction must lie in (0, 1]\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "--help"] for command in
+                      ("invert", "compactify", "distortion", "cones", "verify", "generate")),
+    ])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bilip")
+
     @pytest.mark.parametrize("argv, target", [
         (["distortion", "m.csv", "--output", "nodir/r.json"], "nodir/r.json"),
         (["verify", "cone-exchange", "--output", "nodir/r.json"], "nodir/r.json"),
@@ -590,4 +636,33 @@ class TestUsageErrors:
         out = run_cli("invert", "c.csv", "--output", "o.csv", cwd=tmp_path)
         assert out.returncode == 2
         assert out.stderr == "parse error: bad float '\\\\xe9' in c.csv:3\n"
+        assert not (tmp_path / "o.csv").exists()
+
+
+class TestErrorLines:
+    """Each path of ``main`` that reports an error, pinned to its stderr line and code."""
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["invert", "bad.csv", "--output", "o.csv"], 2, "parse error: non-finite value 'nan' in bad.csv:2"),
+        (["invert", "z.csv", "--output", "o.csv"], 3,
+         "hypothesis violation: inversion is undefined at the origin (row 0)"),
+        (["distortion", "m.csv", "--shell", "1e5:1e6"], 4,
+         "degenerate data: shell [100000.0, 1000000.0) keeps 0 pairs"),
+        (["cones", "r.csv", "--fraction", "0"], 2, "usage error: shell fraction must lie in (0, 1]"),
+        (["distortion", "missing.csv"], 2,
+         "cannot read input: [Errno 2] No such file or directory: 'missing.csv'"),
+        (["verify", "identities", "--pairs", "10", "--output", "nodir/x.json"], 2,
+         "cannot write output: [Errno 2] No such file or directory: 'nodir/x.json'"),
+    ], ids=["parse", "origin", "empty-shell", "fraction", "unreadable", "unwritable"])
+    def test_error_line_is_exact(self, tmp_path, monkeypatch, capsys, argv, code, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text("x1,x2\n1.0,nan\n")
+        (tmp_path / "z.csv").write_text("x1,x2\n0.0,0.0\n1.0,2.0\n")
+        assert main(["generate", "shear", "--n", "20", "--output", "m.csv"]) == 0
+        assert main(["generate", "ray", "--n", "30", "--output", "r.csv"]) == 0
+        capsys.readouterr()
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
         assert not (tmp_path / "o.csv").exists()
