@@ -29,8 +29,6 @@ from .maps import SamplerConfig, compactify_map, invert_map, restrict_map, sampl
 from .serialize import dumps_report, load_cloud, load_map, save_cloud, save_map, sidecar_path
 
 USAGE_EXIT = 2
-# the options that take a float, whose value may start with "-"
-FLOAT_OPTIONS = ("--fraction", "--lambda")
 
 
 def _reject_unread(args, rules) -> None:
@@ -70,28 +68,30 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _reads_as_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _glue_float_values(argv: list[str]) -> list[str]:
-    """Join ``--lambda -1e3`` into ``--lambda=-1e3`` when ``float`` reads the value.
+def _join_option_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Join ``--n -1e3`` into ``--n=-1e3`` for every option of the subcommand that takes a value.
 
     argparse takes a token that starts with "-" for an option unless it
-    looks like -5 or -.5, so ``--lambda -1e3`` failed as "expected one
-    argument" instead of with the library's reason.
+    looks like -5 or -.5, so ``--n -1e3`` failed as "expected one argument"
+    instead of with the option's own reason.  A token that names, or
+    abbreviates, one of the subcommand's options (``--`` and ``-`` too)
+    stays an option.
     """
-    glued: list[str] = []
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = commands.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return argv
+    options = [o for a in sub._actions for o in a.option_strings]
+    valued = {o for a in sub._actions if a.option_strings and a.nargs is None for o in a.option_strings}
+    joined: list[str] = []
     for token in argv:
-        if glued and glued[-1] in FLOAT_OPTIONS and _reads_as_float(token):
-            glued[-1] += "=" + token
+        head = token.split("=", 1)[0]
+        if (joined and joined[-1] in valued and token.startswith("-")
+                and not any(o.startswith(head) for o in options)):
+            joined[-1] += "=" + token
         else:
-            glued.append(token)
-    return glued
+            joined.append(token)
+    return joined
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +338,7 @@ def cmd_generate(args) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else list(argv)))
+    args = parser.parse_args(_join_option_values(parser, sys.argv[1:] if argv is None else list(argv)))
     report_path = args.output if args.command in ("distortion", "cones", "verify") else None
     try:
         payload, code = args.func(args)

@@ -6,11 +6,12 @@ their max is the empirical bi-Lipschitz constant, which only ever
 underestimates the true one.  Distances are Euclidean in the stored
 coordinates, which on sphere-ambient maps is exactly the chordal metric.
 
-One kernel serves both strategies.  It walks blocks of about 2^16 pairs
-over coordinate-major copies of the two point sets, so no list of pairs
-is ever built: AllPairs holds the copies and one block (about 3 MB at
-2000 samples in the plane), SeededRandom its two arrays of draws (16
-bytes per draw) besides; neither names more than PAIR_BUDGET pairs.
+One kernel serves both strategies.  It walks blocks of pairs over
+coordinate-major views of the two point sets, so no list of pairs is
+ever built and no point is copied: AllPairs holds one band of about 2^16
+pairs (about 3 MB at 2000 samples in the plane), SeededRandom its two
+arrays of int32 draws (8 bytes per draw) and one block of 2^14 draws;
+neither names more than PAIR_BUDGET pairs.
 Squares are summed by ``geometry.sum_squares``.  Every rule is relative,
 so a report keeps its bits when both point sets are scaled by 2^k and
 distances stay normal: pairs within COINCIDENCE_EPSILON * max(r_i, r_j)
@@ -31,10 +32,15 @@ from .maps import SampledMap
 # domain pairs no farther apart than eps * max(r_i, r_j) are skipped: relative at every
 # radius, so scaling a map by 2^k skips the same pairs; two zero rows are always skipped
 COINCIDENCE_EPSILON = 1e-12
-# 2-core Xeon: AllPairs at n = 5793 takes 0.31 s, 2^24 random draws 1.49 s and 276 MiB
+# 2-core Xeon: AllPairs at n = 5793 takes 0.25 s, 2^24 random draws 1.2-1.4 s and 145 MiB
 PAIR_BUDGET = 2**24
 DEFAULT_RANDOM_PAIRS = 10**6
-_BLOCK_PAIRS = 2**16  # pairs per block of the walk; bounds its temporaries for any n
+# AllPairs walks row bands of about _BLOCK_PAIRS pairs, SeededRandom blocks of _BLOCK_DRAWS
+# draws; each bounds its block's temporaries for any n.  Bands of 2^14 pairs would cost
+# AllPairs 5 % at n = 1990 and 25 % at n = 5793 in per-band overhead; blocks of 2^14 draws
+# cost SeededRandom no time and hold 3.7 MiB less than blocks of 2^16
+_BLOCK_PAIRS = 2**16
+_BLOCK_DRAWS = 2**14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +99,7 @@ def _pair_blocks(
     ``i`` and ``j`` broadcast to the block's shape and ``valid``, when not
     None, masks the pairs the block holds.  AllPairs blocks are row bands
     of the upper triangle, rows s:e against columns s+1:n, with about
-    _BLOCK_PAIRS entries; SeededRandom blocks are _BLOCK_PAIRS draws with
+    _BLOCK_PAIRS entries; SeededRandom blocks are _BLOCK_DRAWS draws with
     their self-pairs removed.
     """
     if isinstance(strategy, AllPairs):
@@ -111,23 +117,28 @@ def _pair_blocks(
             raise DomainError("need at least one sampled pair")
         if strategy.samples > PAIR_BUDGET:
             raise DomainError(f"{strategy.samples} sampled pairs exceed the pair budget {PAIR_BUDGET}")
+        # below 2^32 numpy draws every integer dtype from one 32-bit stream, so int32
+        # draws are the int64 draws in half the memory
+        dtype = np.int32 if n < 2**31 else np.int64
         rng = np.random.default_rng(strategy.seed)
-        a = rng.integers(0, n, size=strategy.samples)
-        b = rng.integers(0, n, size=strategy.samples)
+        a = rng.integers(0, n, size=strategy.samples, dtype=dtype)
+        b = rng.integers(0, n, size=strategy.samples, dtype=dtype)
         if np.array_equal(a, b):
             raise DegenerateMap(
                 f"all drawn pairs were self-pairs (i == j); samples={strategy.samples}"
             )
-        for start in range(0, strategy.samples, _BLOCK_PAIRS):
-            a_s, b_s = a[start:start + _BLOCK_PAIRS], b[start:start + _BLOCK_PAIRS]
+        for start in range(0, strategy.samples, _BLOCK_DRAWS):
+            a_s, b_s = a[start:start + _BLOCK_DRAWS], b[start:start + _BLOCK_DRAWS]
             keep = a_s != b_s
-            yield np.minimum(a_s, b_s)[keep], np.maximum(a_s, b_s)[keep], None
+            # intp indices: gathers need no cast, and the key i*n + j cannot overflow
+            yield (np.minimum(a_s, b_s)[keep].astype(np.intp),
+                   np.maximum(a_s, b_s)[keep].astype(np.intp), None)
     else:
         raise DomainError(f"unknown pair strategy: {strategy!r}")
 
 
 def _distances(w: np.ndarray, i: np.ndarray, j: np.ndarray, counted: np.ndarray | None) -> np.ndarray:
-    """|w_i - w_j| over a block, for coordinate-major points w of shape (q, n).
+    """|w_i - w_j| over a block, for w the transposed view (q, n) of an (n, q) point array.
 
     A pair that ``counted`` marks (every pair when None) whose distance is
     infinite or below 2^-240 is recomputed from its differences scaled by
@@ -167,9 +178,9 @@ def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> Distor
             an evaluated pair is farther apart than the largest float.
     """
     n = m.n_pairs
-    # coordinate-major copies: each coordinate of a block is one contiguous row
-    u = np.ascontiguousarray(m.domain.points.T)
-    v = np.ascontiguousarray(m.codomain.points.T)
+    # coordinate-major views: w[k] is coordinate k of every sample; contiguous copies
+    # cost 8 bytes per coordinate and sample and were no faster
+    u, v = m.domain.points.T, m.codomain.points.T
     # max(floor_i, floor_j) is the pair's threshold eps * max(r_i, r_j), bit for bit,
     # because rounding is monotone
     floor = COINCIDENCE_EPSILON * m.domain.radii()

@@ -65,17 +65,18 @@ def _write_table(path, header: list[str], *blocks: np.ndarray) -> None:
     """Write ``header``, then one CRLF-ended line per row index: that row of every block.
 
     Every value goes through Python's float repr, in chunks of _CHUNK_ROWS
-    rows.  A table of several chunks is formatted on a pool of forked
-    processes, one per usable CPU, and written in row order; the pool ends
-    before this returns, on success or on error.  The bytes do not depend on
-    the number of CPUs.
+    rows, each stacked from the blocks when its turn comes, so the whole
+    table is never copied.  A table of several chunks is formatted on a
+    pool of forked processes, one per usable CPU, and written in row order;
+    the pool ends before this returns, on success or on error.  The bytes
+    do not depend on the number of CPUs.
     """
-    table = np.hstack(blocks)
-    line = ",".join(["%r"] * table.shape[1]) + "\r\n"
-    chunks = [table[s:s + _CHUNK_ROWS] for s in range(0, len(table), _CHUNK_ROWS)]
+    line = ",".join(["%r"] * sum(b.shape[1] for b in blocks)) + "\r\n"
+    starts = range(0, len(blocks[0]), _CHUNK_ROWS)
+    chunks = (np.hstack([b[s:s + _CHUNK_ROWS] for b in blocks]) for s in starts)
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(",".join(header) + "\r\n")
-        pool = _format_pool(len(chunks))
+        pool = _format_pool(len(starts))
         if pool is None:
             fh.writelines(_format_rows(line, c) for c in chunks)
         else:

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import bilip
-from bilip.cli import FLOAT_OPTIONS, build_parser, main
+from bilip import cli
+from bilip.cli import build_parser, main
 from bilip.serialize import load_cloud, load_map, sidecar_path
 from cli_runner import run_cli, run_python
 
@@ -48,6 +49,31 @@ def test_cli_import_leaves_process_pools_out(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+# (subcommand, option) for every option of every subcommand that takes one value
+VALUED_OPTIONS = [
+    (name, action.option_strings[0])
+    for name, sub in subcommands().items()
+    for action in sub._actions
+    if action.option_strings and action.nargs is None
+]
+
+
+def parse_prefix(command: str, option: str) -> list[str]:
+    """``command`` with its positionals and every required option other than ``option``."""
+    argv = [command]
+    for action in subcommands()[command]._actions:
+        if not action.option_strings:
+            argv.append(next(iter(action.choices)) if action.choices else "in.csv")
+        elif action.required and option not in action.option_strings:
+            argv += [action.option_strings[0], "out.csv"]
+    return argv
 
 
 def write_map(path, rows, fixes_origin=False, avoids_origin=False):
@@ -541,17 +567,60 @@ class TestUsageErrors:
         assert captured.out == ""
         assert not (tmp_path / "s.csv").exists()
 
-    def test_float_options_are_the_float_typed_options(self):
-        # main joins a negative value to exactly these options before argparse reads them
-        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        typed = {
-            option
-            for sub in commands.choices.values()
-            for action in sub._actions
-            if action.type is float
-            for option in action.option_strings
-        }
-        assert typed == set(FLOAT_OPTIONS)
+    @pytest.mark.parametrize("command, option", VALUED_OPTIONS, ids=[f"{c} {o}" for c, o in VALUED_OPTIONS])
+    def test_value_starting_with_dash_is_the_options_value(self, tmp_path, monkeypatch, capsys, command, option):
+        # "OPTION -1e3" must read as "OPTION=-1e3": the value or the option's own reason,
+        # never argparse's "expected one argument"
+        monkeypatch.chdir(tmp_path)  # "--output -1e3" writes the report to ./-1e3
+        read = []
+
+        def record(args):  # stands in for every command: the parsed values, no work
+            read.append({k: v for k, v in vars(args).items() if k != "func"})
+            return {}, 0
+
+        for name in ("invert", "compactify", "distortion", "cones", "verify", "generate"):
+            monkeypatch.setattr(cli, f"cmd_{name}", record)
+        outcomes = []
+        for tail in ([option, "-1e3"], [f"{option}=-1e3"]):
+            read.clear()
+            try:
+                code = main(parse_prefix(command, option) + tail)
+            except SystemExit as exit_:
+                code = exit_.code
+            outcomes.append((code, capsys.readouterr().err, list(read)))
+        (code, err, read_args), glued = outcomes
+        assert (code, err, read_args) == glued
+        assert "expected one argument" not in err
+        if code:
+            assert f"argument {option}: " in err
+        else:
+            assert err == "" and len(read_args) == 1
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["generate", "ray", "--n", "-1e3", "--output", "r.csv"], "argument --n: invalid int value: '-1e3'"),
+        (["generate", "ray", "--shell", "-1:2", "--output", "r.csv"],
+         "argument --shell: shell '-1:2' needs 0 < R_MIN < R_MAX"),
+        (["distortion", "m.csv", "--strategy", "random", "--pairs", "-1e3"],
+         "argument --pairs: invalid int value: '-1e3'"),
+    ], ids=["n", "shell", "pairs"])
+    def test_negative_count_or_shell_names_its_reason(self, capsys, argv, reason):
+        # argparse took "-1e3" and "-1:2" for options and said "expected one argument"
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"bilip {argv[0]}: error: {reason}"
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["generate", "ray", "--output", "--n", "5"], "argument --output: expected one argument"),
+        (["generate", "ray", "--output", "--se", "5"], "argument --output: expected one argument"),
+        (["generate", "ray", "--n", "--", "5", "--output", "r.csv"], "argument --n: expected one argument"),
+        (["generate", "ray", "--band", "-0.1", "--output", "r.csv"], "unrecognized arguments: --band -0.1"),
+    ], ids=["option", "abbreviation", "double-dash", "unknown-option"])
+    def test_token_naming_an_option_stays_an_option(self, capsys, argv, reason):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {reason}")
 
     @pytest.mark.parametrize("fraction", ["-1e-3", "-inf", "-0.5"])
     def test_negative_fraction_names_its_reason(self, tmp_path, capsys, fraction):

@@ -1,5 +1,6 @@
 """Distortion estimation: frozen ratios, strategy behavior, bounds."""
 
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -24,6 +25,13 @@ def make_map(domain, codomain, **options) -> SampledMap:
         codomain=PointCloud(np.asarray(codomain, dtype=float)),
         **options,
     )
+
+
+def walk_blocks(size: int | None):
+    """The walk's AllPairs bands and SeededRandom blocks both of ``size`` pairs; as shipped when None."""
+    if size is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(distortion, _BLOCK_PAIRS=size, _BLOCK_DRAWS=size)
 
 
 def random_cloud(seed: int, n: int, q: int, lo: float = 0.1, hi: float = 10.0) -> np.ndarray:
@@ -196,7 +204,7 @@ def per_pair_reference(m: SampledMap, pairs) -> dict | None:
     q=st.integers(1, 20),
     lattice=st.booleans(),
     drawn=st.booleans(),
-    block=st.sampled_from((1, 3, distortion._BLOCK_PAIRS)),
+    block=st.sampled_from((1, 3, None)),
 )
 def test_walk_matches_per_pair_reference(seed, n, q, lattice, drawn, block):
     rng = np.random.default_rng(seed)
@@ -213,7 +221,7 @@ def test_walk_matches_per_pair_reference(seed, n, q, lattice, drawn, block):
     strategy = SeededRandom(samples=int(rng.integers(1, 3 * n * n)), seed=seed) if drawn else AllPairs()
     pairs = drawn_pairs(n, strategy) if drawn else list(itertools.combinations(range(n), 2))
     want = per_pair_reference(m, pairs)
-    with mock.patch.object(distortion, "_BLOCK_PAIRS", block):
+    with walk_blocks(block):
         if want is None:
             with pytest.raises(DegenerateMap):
                 estimate_bilip(m, strategy)
@@ -247,7 +255,7 @@ def test_wide_rows_match_per_pair_reference(q, drawn):
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(-1013, 999),
     drawn=st.booleans(),
-    block=st.sampled_from((1, distortion._BLOCK_PAIRS)),
+    block=st.sampled_from((1, None)),
 )
 def test_scaled_map_gives_the_unscaled_report(name, seed, k, drawn, block):
     # squares of distances below 2^-240 underflow and above 2^512 overflow; the floor is relative
@@ -261,7 +269,7 @@ def test_scaled_map_gives_the_unscaled_report(name, seed, k, drawn, block):
     assume(np.ldexp(magnitudes[magnitudes > 0.0].min(), k) >= 2.0**-1022)
     scaled = make_map(np.ldexp(m.domain.points, k), np.ldexp(m.codomain.points, k))
     strategy = SeededRandom(samples=300, seed=seed) if drawn else AllPairs()
-    with mock.patch.object(distortion, "_BLOCK_PAIRS", block):
+    with walk_blocks(block):
         assert estimate_bilip(scaled, strategy) == estimate_bilip(m, strategy)
 
 
@@ -272,8 +280,8 @@ class TestWalk:
         strategy = SeededRandom(samples=20, seed=1)
         pairs = drawn_pairs(3, strategy)
         assert pairs[0] > (0, 1) and (0, 1) in pairs
-        for block in (1, distortion._BLOCK_PAIRS):
-            with mock.patch.object(distortion, "_BLOCK_PAIRS", block):
+        for block in (1, None):
+            with walk_blocks(block):
                 rep = estimate_bilip(make_map(dom, dom), strategy)
             assert rep.witness_expand == rep.witness_contract == (0, 1)
             assert rep.pairs_evaluated == len(pairs)
@@ -288,19 +296,56 @@ class TestWalk:
             tracemalloc.stop()
 
     def test_all_pairs_memory_is_bounded(self):
-        # no pair list: the coordinate-major copies and one block of 2^16 pairs, about 3 MB;
+        # no pair list: one band of 2^16 pairs, about 3 MB;
         # an index list of every pair alone takes 32 MB at n = 2000
         pts = random_cloud(22, 2000, 3)
         rep, peak = self.traced_peak(make_map(pts, 2.0 * pts), AllPairs())
         assert rep.pairs_evaluated == 2000 * 1999 // 2
         assert peak < 8 * 2**20
 
-    def test_seeded_random_memory_is_bounded(self):
-        # the two draw arrays (16 MB) and one block; pair arrays kept for every draw add 24 MB
-        pts = random_cloud(23, 10**5, 2)
+    def assert_seeded_random_peak(self, q: int):
+        pts = random_cloud(23, 10**5, q)
         rep, peak = self.traced_peak(make_map(pts, 2.0 * pts), SeededRandom(samples=10**6, seed=0))
         assert rep.pairs_evaluated + rep.pairs_skipped > 0.99 * 10**6
-        assert peak < 28 * 2**20
+        assert peak < 14 * 2**20
+
+    def test_seeded_random_memory_is_bounded(self):
+        # the two int32 draw arrays (8 MB) and one block of 2^14 draws, 9.8 MiB;
+        # int64 draws add 8 MB
+        self.assert_seeded_random_peak(2)
+
+    def test_seeded_random_memory_is_bounded_at_q3(self):
+        # 9.9 MiB; copies of both point sets add 4.8 MB, blocks of 2^16 draws 4 MB
+        self.assert_seeded_random_peak(3)
+
+    @pytest.mark.parametrize("n", [2, 3, 1990, 100005, 100006, 5 * 10**6, 2**31 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_int32_draws_are_the_int64_draws(self, n, seed):
+        # the walk draws int32 indices: numpy serves every range below 2^32 from one buffered
+        # 32-bit stream whatever the dtype, so they are the int64 draws, call after call
+        narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (1, 7, 10**5, 10**6, 99_999):
+            drawn = narrow.integers(0, n, size=size, dtype=np.int32)
+            assert drawn.dtype == np.int32
+            assert np.array_equal(drawn, wide.integers(0, n, size=size))
+
+    def test_witnesses_past_index_46341(self):
+        # i*n + j passes 2^31 here, so a key formed in int32 would wrap and name other pairs
+        n = 50_000
+        strategy = SeededRandom(samples=20_000, seed=3)
+        pairs = drawn_pairs(n, strategy)
+        (i, j), (k, l) = [p for p in pairs if p[0] > 46341][:2]
+        assert len({i, j, k, l}) == 4
+        dom = random_cloud(24, n, 2)
+        cod = 2.0 * dom
+        dom[j] = dom[i] + [1e-6, 0.0]
+        cod[j] = cod[i] + [1.0, 0.0]  # expands by 1e6
+        cod[l] = cod[k] + [1e-6, 0.0]  # contracts by about 1e6
+        m = make_map(dom, cod)
+        rep = estimate_bilip(m, strategy)
+        assert (rep.witness_expand, rep.witness_contract) == ((i, j), (k, l))
+        want = per_pair_reference(m, pairs)
+        assert {name: getattr(rep, name) for name in want} == want
 
     def test_distance_beyond_the_float_range_raises(self):
         # |1.5e308 - (-1.5e308)| overflows even after the power-of-two rescaling

@@ -293,6 +293,21 @@ class TestMap:
         }
         assert meta["q1"] == 2 and meta["ambient"] == "Affine"
 
+    def test_save_memory_is_bounded(self, tmp_path, monkeypatch):
+        # one stacked chunk of 8192 rows and its text, 2.9 MiB; a copy of the whole
+        # 1e5 x 6 table alone takes 4.6 MiB.  In process: on the pool, the number of
+        # chunks formatted ahead of the writer depends on scheduling
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        dom = np.random.default_rng(6).normal(size=(10**5, 3))
+        m = SampledMap(domain=PointCloud(dom), codomain=PointCloud(2.0 * dom))
+        tracemalloc.start()
+        try:
+            save_map(m, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
+
     def test_map_header_shape(self, tmp_path):
         path = tmp_path / "m.csv"
         save_map(sample_map(), path)
