@@ -9,11 +9,11 @@ CSV cannot hold; it restates the origin flags, which the samples decide.
 
 from __future__ import annotations
 
+import collections
 import errno
 import json
 import os
 import pathlib
-from functools import partial
 
 import numpy as np
 
@@ -26,6 +26,7 @@ META_KEYS = frozenset(
     {"q1", "q2", "fixes_origin", "avoids_origin", "unbounded_domain", "ambient"}
 )
 _CHUNK_ROWS = 8192  # rows formatted by one % call; the written bytes do not depend on it
+_IN_FLIGHT = 2  # chunks per pool worker sent and not yet written: one formatting, one waiting
 
 
 def _cloud_header(q: int) -> list[str]:
@@ -49,16 +50,17 @@ def _format_rows(line: str, rows: np.ndarray) -> str:
 
 
 def _format_pool(chunks: int):
-    """A fork pool with one worker per usable CPU, at most ``chunks``; None when fewer than two
-    workers would run or the platform cannot fork."""
+    """A fork pool with one worker per usable CPU, at most ``chunks``, and its number of workers;
+    None when fewer than two workers would run or the platform cannot fork."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if min(cpus, chunks) < 2:
+    workers = min(cpus, chunks)
+    if workers < 2:
         return None
     import multiprocessing  # here: at module level it would lengthen every command's import
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return multiprocessing.get_context("fork").Pool(min(cpus, chunks))
+    return multiprocessing.get_context("fork").Pool(workers), workers
 
 
 def _write_table(path, header: list[str], *blocks: np.ndarray) -> None:
@@ -68,20 +70,30 @@ def _write_table(path, header: list[str], *blocks: np.ndarray) -> None:
     rows, each stacked from the blocks when its turn comes, so the whole
     table is never copied.  A table of several chunks is formatted on a
     pool of forked processes, one per usable CPU, and written in row order;
-    the pool ends before this returns, on success or on error.  The bytes
-    do not depend on the number of CPUs.
+    at most _IN_FLIGHT chunks per worker are sent and not yet written, so a
+    slow output holds up the workers rather than filling the memory.  The
+    pool ends before this returns, on success or on error.  The bytes do
+    not depend on the number of CPUs.
     """
     line = ",".join(["%r"] * sum(b.shape[1] for b in blocks)) + "\r\n"
     starts = range(0, len(blocks[0]), _CHUNK_ROWS)
     chunks = (np.hstack([b[s:s + _CHUNK_ROWS] for b in blocks]) for s in starts)
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(",".join(header) + "\r\n")
-        pool = _format_pool(len(starts))
-        if pool is None:
+        formatting = _format_pool(len(starts))
+        if formatting is None:
             fh.writelines(_format_rows(line, c) for c in chunks)
-        else:
-            with pool:
-                fh.writelines(pool.imap(partial(_format_rows, line), chunks))
+            return
+        pool, workers = formatting
+        with pool:
+            # not pool.imap: it sends every chunk at once and keeps each one formatted ahead of the writer
+            pending = collections.deque()
+            for chunk in chunks:
+                if len(pending) == _IN_FLIGHT * workers:
+                    fh.write(pending.popleft().get())
+                pending.append(pool.apply_async(_format_rows, (line, chunk)))
+            while pending:
+                fh.write(pending.popleft().get())
 
 
 def _rows(fh):

@@ -6,6 +6,7 @@ matched rank shells make the inversion exchange exact to roundoff.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,6 +120,46 @@ def test_hausdorff_kernel_matches_per_pair_reference(seed, q, n_a, n_b, layout):
         assert got == einsum_hausdorff(a, b)
 
 
+def dense_hausdorff(a: DirectionSet, b: DirectionSet) -> float:
+    """Reference: the dense pass over every pair of the sets as given, unfolded."""
+    u, v = np.ascontiguousarray(a.directions.T), np.ascontiguousarray(b.directions.T)
+    return angles_of_nearest(np.concatenate(cones._dense_minima(u, v)))
+
+
+def partnered_sets(rng: np.random.Generator, q: int, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clustered rows of a, and rows of b that each copy one of them: exactly, within 1 ulp in
+    one coordinate, or within 1e-10; with duplicates in and across the sets, a few antipodes,
+    and pairs of rows mirrored in all but coordinate 0, which tie there."""
+    centres = unit_rows(rng, int(rng.integers(1, 40)), q)
+    a = centres[rng.integers(0, len(centres), n)] + rng.normal(size=(n, q)) * 10.0 ** rng.uniform(-12, -2, (n, 1))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    mirrored = n // 10
+    a[:mirrored] = a[mirrored : 2 * mirrored] * np.r_[1.0, -np.ones(q - 1)]
+    a[rng.integers(0, n, n // 10)] = a[rng.integers(0, n, n // 10)]
+    b = a[np.resize(rng.permutation(n), m)]
+    ulp, noisy = rng.random(m) < 0.3, rng.random(m) < 0.3
+    k = rng.integers(0, q, m)
+    b[ulp, k[ulp]] = np.nextafter(b[ulp, k[ulp]], rng.choice([-np.inf, np.inf], ulp.sum()))
+    b[noisy] += rng.normal(size=(noisy.sum(), q)) * 1e-10
+    b[noisy] /= np.linalg.norm(b[noisy], axis=1)[:, None]
+    b[rng.integers(0, m, m // 10)] = b[rng.integers(0, m, m // 10)]
+    b[rng.integers(0, m, 3)] *= -1.0
+    return a, b
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.integers(2, 6), n=st.integers(340, 420), m=st.integers(340, 420))
+def test_windowed_pass_matches_dense_pass(seed, q, n, m):
+    # above the dense shortcut even after folding, and with every row near a partner, so the
+    # windowed pass must run; q = 1 cannot reach it, having at most two distinct directions
+    a_rows, b_rows = partnered_sets(np.random.default_rng(seed), q, n, m)
+    a, b = direction_set(a_rows), direction_set(b_rows)
+    want = dense_hausdorff(a, b)
+    with mock.patch.object(cones, "_dense_minima", side_effect=AssertionError("dense pass ran")):
+        assert angular_hausdorff(a, b) == want
+        assert angular_hausdorff(b, a) == want
+
+
 class TestAngularHausdorff:
     def test_one_row_blocks(self, monkeypatch):
         # more than 2**16 directions on the column side: every block is one row
@@ -172,10 +213,56 @@ class TestAngularHausdorff:
             angular_hausdorff(a, b)
 
     def test_oversized_set_rejected(self):
+        # one distinct direction: the cap counts the rows given, not the folded ones
         rows = np.tile(np.array([[1.0, 0.0]]), (10_001, 1))
         big = DirectionSet(rows, np.ones(len(rows)))
-        with pytest.raises(DomainError):
-            angular_hausdorff(big, direction_set([[1.0, 0.0]]))
+        for pair in ((big, direction_set([[1.0, 0.0]])), (direction_set(unit_rows(np.random.default_rng(2), 9, 2)), big)):
+            with pytest.raises(DomainError, match="capped at 10000"):
+                angular_hausdorff(*pair)
+
+    def test_ray_like_shells_fold_to_their_distinct_rows(self, monkeypatch):
+        # 5000 rows each over 25 and 26 distinct vectors that differ by a few ulps and tie in
+        # coordinate 0, as on a sampled ray; folded, 25 x 26 pairs take the dense pass.  A
+        # Hausdorff distance depends only on the sets, so the reference compares the distinct rows
+        rng = np.random.default_rng(17)
+        u = unit_rows(rng, 1, 3)[0]
+        steps = np.arange(26)
+        variants = np.tile(u, (26, 1))
+        variants[:, 0] += (steps % 4) * np.spacing(u[0])
+        variants[:, 1] += (steps // 4) * np.spacing(u[1])
+        a_rows, b_rows = variants[1:][rng.integers(0, 25, 5000)], variants[rng.integers(0, 26, 5000)]
+        b_rows[:26] = variants
+        dense_sizes = []
+        dense = cones._dense_minima
+
+        def counted(u, v):
+            dense_sizes.append(u.shape[1] * v.shape[1])
+            return dense(u, v)
+
+        monkeypatch.setattr(cones, "_dense_minima", counted)
+        a, b = direction_set(a_rows), direction_set(b_rows)
+        got = angular_hausdorff(a, b)
+        assert got == angular_hausdorff(b, a) == per_pair_hausdorff(direction_set(variants[1:]), direction_set(variants))
+        assert dense_sizes == [25 * 26, 26 * 25]
+
+    def test_spread_sets_take_the_dense_pass(self, monkeypatch):
+        # 300 x 300 spread directions on S^2: coordinate-0 neighbours are far apart in the
+        # other coordinates, so the windows are too wide and every pair is compared
+        rng = np.random.default_rng(19)
+        a, b = direction_set(unit_rows(rng, 300, 3)), direction_set(unit_rows(rng, 300, 3))
+        monkeypatch.setattr(cones, "_nearest_in_windows", mock.Mock(side_effect=AssertionError("windowed pass ran")))
+        got = angular_hausdorff(a, b)
+        assert got == angular_hausdorff(b, a) == per_pair_hausdorff(a, b)
+
+    def test_close_partners_take_the_windowed_pass(self, monkeypatch):
+        # each of 400 directions on the circle has a partner within 1e-12 in the other set
+        rng = np.random.default_rng(23)
+        a_rows = unit_rows(rng, 400, 2)
+        b_rows = a_rows[rng.permutation(400)] + rng.normal(size=(400, 2)) * 1e-12
+        a, b = direction_set(a_rows), direction_set(b_rows / np.linalg.norm(b_rows, axis=1)[:, None])
+        monkeypatch.setattr(cones, "_dense_minima", mock.Mock(side_effect=AssertionError("dense pass ran")))
+        got = angular_hausdorff(a, b)
+        assert got == angular_hausdorff(b, a) == per_pair_hausdorff(a, b)
 
     def test_empty_set_rejected(self):
         empty = DirectionSet(np.zeros((0, 2)), np.zeros(0))

@@ -11,6 +11,7 @@ import os
 import pathlib
 import re
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilip import serialize
 from bilip.cli import main
 from bilip.errors import ParseError
 from bilip.geometry import PointCloud
@@ -156,6 +158,47 @@ class TestTableFormat:
         save_map(m, tmp_path / "m.csv")
         assert (tmp_path / "m.csv").read_bytes() == repr_table("x1,y1,y2,y3", table)
         assert multiprocessing.active_children() == []
+
+    def test_slow_output_holds_the_pool_back(self, tmp_path, monkeypatch):
+        # a sink that takes 30 ms a write, slower than two workers format a 1024-row chunk:
+        # the writer may hold only the chunks in flight, not every one the workers finished
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(serialize, "_CHUNK_ROWS", 1024)
+        real_open = open
+
+        class SlowFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                time.sleep(0.03)
+                return self.fh.write(text)
+
+            def writelines(self, lines):
+                for text in lines:
+                    self.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(serialize, "open", lambda *a, **k: SlowFile(real_open(*a, **k)), raising=False)
+        table = self.chunked_table(16 * 1024, 4)
+        path = tmp_path / "c.csv"
+        tracemalloc.start()
+        try:
+            save_cloud(PointCloud(table, "c"), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_bytes()
+        assert text == repr_table("x1,x2,x3,x4", table)
+        assert multiprocessing.active_children() == []
+        # 2 chunks per worker in flight, each as rows, pickled rows, text and encoded text,
+        # peak at 10-11 chunks of text; a writer fed by pool.imap reached 14-15 of the 16
+        assert peak < 12 * len(text) / 16
 
     @pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="no /dev/full device")
     def test_failed_write_ends_the_pool(self, monkeypatch):
