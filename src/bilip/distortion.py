@@ -9,8 +9,9 @@ coordinates, which on sphere-ambient maps is exactly the chordal metric.
 One kernel serves both strategies.  It walks blocks of pairs over
 coordinate-major views of the two point sets, so no list of pairs is
 ever built and no point is copied: AllPairs holds one band of about 2^16
-pairs (about 3 MB at 2000 samples in the plane), SeededRandom its two
-arrays of int32 draws (8 bytes per draw) and one block of 2^14 draws;
+pairs (about 3 MB at 2000 samples in the plane), SeededRandom one block
+of 2^14 draws from each of two generators whatever the number of draws
+(a peak of 2.4 MiB at 1e5 samples in the plane, their radii included);
 neither names more than PAIR_BUDGET pairs.
 Squares are summed by ``geometry.sum_squares``.  Every rule is relative,
 so a report keeps its bits when both point sets are scaled by 2^k and
@@ -32,7 +33,7 @@ from .maps import SampledMap
 # domain pairs no farther apart than eps * max(r_i, r_j) are skipped: relative at every
 # radius, so scaling a map by 2^k skips the same pairs; two zero rows are always skipped
 COINCIDENCE_EPSILON = 1e-12
-# 2-core Xeon: AllPairs at n = 5793 takes 0.25 s, 2^24 random draws 1.2-1.4 s and 145 MiB
+# 2-core Xeon: AllPairs at n = 5793 takes 0.25 s, 2^24 random draws on 1e5 samples 1.5-1.8 s and 2.4 MiB
 PAIR_BUDGET = 2**24
 DEFAULT_RANDOM_PAIRS = 10**6
 # AllPairs walks row bands of about _BLOCK_PAIRS pairs, SeededRandom blocks of _BLOCK_DRAWS
@@ -94,13 +95,14 @@ class RadialReport(NamedTuple):
 def _pair_blocks(
     n: int, strategy: PairStrategy
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """The strategy's pairs i < j as blocks (i, j, valid); its checks raise at the first next().
+    """The strategy's pairs i < j as blocks (i, j, valid).
 
     ``i`` and ``j`` broadcast to the block's shape and ``valid``, when not
     None, masks the pairs the block holds.  AllPairs blocks are row bands
     of the upper triangle, rows s:e against columns s+1:n, with about
     _BLOCK_PAIRS entries; SeededRandom blocks are _BLOCK_DRAWS draws with
-    their self-pairs removed.
+    their self-pairs removed.  The budget checks raise at the first next(),
+    the check that some draw is not a self-pair after the last block.
     """
     if isinstance(strategy, AllPairs):
         pairs = n * (n - 1) // 2
@@ -117,24 +119,41 @@ def _pair_blocks(
             raise DomainError("need at least one sampled pair")
         if strategy.samples > PAIR_BUDGET:
             raise DomainError(f"{strategy.samples} sampled pairs exceed the pair budget {PAIR_BUDGET}")
-        # below 2^32 numpy draws every integer dtype from one 32-bit stream, so int32
-        # draws are the int64 draws in half the memory
-        dtype = np.int32 if n < 2**31 else np.int64
-        rng = np.random.default_rng(strategy.seed)
-        a = rng.integers(0, n, size=strategy.samples, dtype=dtype)
-        b = rng.integers(0, n, size=strategy.samples, dtype=dtype)
-        if np.array_equal(a, b):
+        distinct = False
+        for a, b in _draw_blocks(n, strategy.samples, strategy.seed):
+            keep = a != b
+            distinct = distinct or bool(keep.any())
+            # intp indices: gathers need no cast, and the key i*n + j cannot overflow
+            yield (np.minimum(a, b)[keep].astype(np.intp),
+                   np.maximum(a, b)[keep].astype(np.intp), None)
+        if not distinct:
             raise DegenerateMap(
                 f"all drawn pairs were self-pairs (i == j); samples={strategy.samples}"
             )
-        for start in range(0, strategy.samples, _BLOCK_DRAWS):
-            a_s, b_s = a[start:start + _BLOCK_DRAWS], b[start:start + _BLOCK_DRAWS]
-            keep = a_s != b_s
-            # intp indices: gathers need no cast, and the key i*n + j cannot overflow
-            yield (np.minimum(a_s, b_s)[keep].astype(np.intp),
-                   np.maximum(a_s, b_s)[keep].astype(np.intp), None)
     else:
         raise DomainError(f"unknown pair strategy: {strategy!r}")
+
+
+def _draw_blocks(n: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The draws ``a = rng.integers(0, n, samples)``, then ``b`` alike, of
+    ``rng = np.random.default_rng(seed)``, as blocks (a[s:e], b[s:e]) of
+    _BLOCK_DRAWS draws, bit for bit.
+
+    A bounded draw is Lemire's method on a stream that each call continues
+    where the last one stopped, so blocks of draws are the one-call draws.
+    The stream of ``b`` starts where ``a`` ends, which depends on how many
+    draws Lemire's method rejected; so ``b`` comes from a second generator
+    seeded alike that first draws and drops ``samples`` draws, in blocks.
+    """
+    # below 2^32 numpy draws every integer dtype from one 32-bit stream, so int32
+    # draws are the int64 draws in half the memory
+    dtype = np.int32 if n < 2**31 else np.int64
+    first, second = np.random.default_rng(seed), np.random.default_rng(seed)
+    sizes = [min(_BLOCK_DRAWS, samples - start) for start in range(0, samples, _BLOCK_DRAWS)]
+    for size in sizes:
+        second.integers(0, n, size=size, dtype=dtype)
+    for size in sizes:
+        yield first.integers(0, n, size=size, dtype=dtype), second.integers(0, n, size=size, dtype=dtype)
 
 
 def _distances(w: np.ndarray, i: np.ndarray, j: np.ndarray, counted: np.ndarray | None) -> np.ndarray:

@@ -25,6 +25,7 @@ CHART_RADIUS = 0.5  # the half-ball chart is defined on |y| <= 1/2
 CHART_BOUNDARY_SLACK = 1e-12  # rounding allowance at the chart boundary
 
 _LARGE_RADIUS = 1e150  # beyond this, |x|^2 risks overflow; switch forms
+_NORM_ROWS = 8192  # rows per block of norms: temporaries of 64 KiB per coordinate
 
 
 def _as_batch(x) -> np.ndarray:
@@ -62,10 +63,9 @@ def _max_abs(p: np.ndarray) -> np.ndarray:
     """Largest |coordinate| of each row of a stack."""
     # one column at a time: with numpy 2.4, a reduction along the short row
     # axis took 20x as long for 1e5 rows at q = 2; a maximum is exact in any order
-    a = np.abs(p)
-    m = a[:, 0].copy()
+    m = np.abs(p[:, 0])
     for k in range(1, p.shape[1]):
-        np.maximum(m, a[:, k], out=m)
+        np.maximum(m, np.abs(p[:, k]), out=m)
     return m
 
 
@@ -84,16 +84,26 @@ def sum_squares(diffs: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def norms(x) -> np.ndarray:
-    """Euclidean norms of the rows, safe against overflow and underflow of |x|^2."""
+    """Euclidean norms of the rows, safe against overflow and underflow of |x|^2.
+
+    Each row is divided by its largest |coordinate| before its squares are
+    summed.  Rows are taken in blocks of _NORM_ROWS, so the temporaries
+    stay small beside the points; the arithmetic of a row, and so its
+    bits, do not depend on the block.
+    """
     p = _as_batch(x)
-    m = _max_abs(p)
-    # a zero row divides by 1 and keeps norm 0
-    scaled = p / np.where(m > 0.0, m, 1.0)[:, None]
-    return m * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    out = np.empty(len(p))
+    for start in range(0, len(p), _NORM_ROWS):
+        block = p[start:start + _NORM_ROWS]
+        m = _max_abs(block)
+        # a zero row divides by 1 and keeps norm 0
+        scaled = block / np.where(m > 0.0, m, 1.0)[:, None]
+        np.multiply(m, np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), out=out[start:start + len(block)])
+    return out
 
 
-def invert(x) -> np.ndarray:
-    """Euclidean inversion x -> x / |x|^2.
+def invert(x, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean inversion x -> x / |x|^2, written into ``out`` when given.
 
     Computed as (x/|x|)/|x| so radii down to 1e-300 and up to 1e300
     survive without overflowing the intermediate square.
@@ -103,32 +113,41 @@ def invert(x) -> np.ndarray:
     """
     p = _as_batch(x)
     _reject_rows(_max_abs(p) < ORIGIN_EPSILON, OriginError, "inversion is undefined at the origin")
-    r = norms(p)
-    return (p / r[:, None]) / r[:, None]
+    r = norms(p)[:, None]
+    out = np.divide(p, r, out=out)
+    return np.divide(out, r, out=out)
 
 
-def stereo_embed(x) -> np.ndarray:
+def stereo_embed(x, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse stereographic embedding of R^q into S^q minus the pole.
 
-    Maps x to (2x/(1+|x|^2), (|x|^2-1)/(|x|^2+1)).  Defined for every
-    finite x; the image approaches the north pole as |x| grows.
+    Maps x to (2x/(1+|x|^2), (|x|^2-1)/(|x|^2+1)), written into ``out``,
+    shaped (n, q + 1), when given.  Defined for every finite x; the image
+    approaches the north pole as |x| grows.
     """
     p = _as_batch(x)
     n, q = p.shape
-    out = np.empty((n, q + 1))
+    if out is None:
+        out = np.empty((n, q + 1))
     r = norms(p)
     big = r > _LARGE_RADIUS
-    if np.any(~big):
+    if not big.any():
+        # every row in place, the same operations as the masked form below
+        r2 = np.square(r, out=r)
+        denom = 1.0 + r2
+        np.divide(np.multiply(p, 2.0, out=out[:, :q]), denom[:, None], out=out[:, :q])
+        np.divide(np.subtract(r2, 1.0, out=out[:, q]), denom, out=out[:, q])
+        return out
+    if not big.all():
         r2 = r[~big] ** 2
         out[~big, :q] = 2.0 * p[~big] / (1.0 + r2)[:, None]
         out[~big, q] = (r2 - 1.0) / (r2 + 1.0)
-    if np.any(big):
-        # for huge radii work with t = 1/|x| to dodge |x|^2 overflow
-        u = p[big] / r[big, None]
-        t = 1.0 / r[big]
-        t2 = t * t
-        out[big, :q] = u * (2.0 * t / (1.0 + t2))[:, None]
-        out[big, q] = (1.0 - t2) / (1.0 + t2)
+    # for huge radii work with t = 1/|x| to dodge |x|^2 overflow
+    u = p[big] / r[big, None]
+    t = 1.0 / r[big]
+    t2 = t * t
+    out[big, :q] = u * (2.0 * t / (1.0 + t2))[:, None]
+    out[big, q] = (1.0 - t2) / (1.0 + t2)
     return out
 
 

@@ -116,15 +116,14 @@ def invert_map(m: SampledMap) -> SampledMap:
             f"{cod_radii[row]:g}: inversion needs one (0, 0) pair or every radius >= {ORIGIN_GUARD:g}"
         )
     keep = m.domain.radii() > 0.0  # drops the origin pair, the only row at radius 0
-    dom = m.domain.points[keep]
-    cod = m.codomain.points[keep]
-    if np.any(norms(cod) == 0.0):
+    if np.any(m.codomain.radii()[keep] == 0.0):
         raise HypothesisError("a nonzero sample maps to the origin; inversion undefined")
-    new_dom = invert(dom)
-    new_cod = invert(cod)
-    if m.unbounded_domain:
-        new_dom = np.vstack([new_dom, np.zeros(m.dim_in)])
-        new_cod = np.vstack([new_cod, np.zeros(m.dim_out)])
+    # each result is written once and inverted in place; a last row stays the (0, 0) pair
+    kept = int(np.count_nonzero(keep))
+    new_dom, new_cod = results = [np.zeros((kept + int(m.unbounded_domain), c.dim)) for c in (m.domain, m.codomain)]
+    for cloud, out in zip((m.domain, m.codomain), results):
+        rows = np.compress(keep, cloud.points, axis=0, out=out[:kept])
+        invert(rows, out=rows)
     if len(new_dom) < 2:
         raise DomainError("fewer than two pairs survive inversion")
     label = f"inverted {m.domain.label}".strip()
@@ -146,11 +145,12 @@ def compactify_map(m: SampledMap) -> SampledMap:
     """
     if m.ambient is not Ambient.AFFINE:
         raise DomainError("only affine-ambient maps can be compactified")
-    new_dom = stereo_embed(m.domain.points)
-    new_cod = stereo_embed(m.codomain.points)
-    if m.unbounded_domain:
-        new_dom = np.vstack([new_dom, north_pole(m.dim_in)])
-        new_cod = np.vstack([new_cod, north_pole(m.dim_out)])
+    # each result is written once; a row after the samples is the pole pair
+    n = m.n_pairs
+    new_dom, new_cod = results = [np.empty((n + int(m.unbounded_domain), c.dim + 1)) for c in (m.domain, m.codomain)]
+    for cloud, out in zip((m.domain, m.codomain), results):
+        stereo_embed(cloud.points, out=out[:n])
+        out[n:] = north_pole(cloud.dim)
     label = f"compactified {m.domain.label}".strip()
     return SampledMap(
         domain=PointCloud(new_dom, label),

@@ -5,6 +5,9 @@ format, so save followed by load reproduces every value bit for bit.
 Large tables are formatted on every usable CPU, with the same bytes.
 Sampled maps carry a JSON sidecar next to the CSV with the metadata the
 CSV cannot hold; it restates the origin flags, which the samples decide.
+``load_map`` holds the parsed table and its two contiguous blocks, the
+domain and the codomain, then only the blocks while the map checks its
+samples: about twice the samples at its peak.
 """
 
 from __future__ import annotations
@@ -213,12 +216,15 @@ def load_map(path) -> SampledMap:
         return None if header == _map_header(q1, q2) else f"header does not match q1={q1}, q2={q2}"
 
     table = _read_table(path, header_error)
+    # contiguous copies: a strided view would be copied again by every
+    # geometry call on it, which wants C-ordered rows; the table goes
+    # before the samples are checked
+    domain, codomain = table[:, :q1].copy(), table[:, q1:].copy()
+    del table
     try:
-        # contiguous copies: a strided view would be copied again by every
-        # geometry call on it, which wants C-ordered rows
         return SampledMap(
-            domain=PointCloud(table[:, :q1].copy(), path.stem),
-            codomain=PointCloud(table[:, q1:].copy(), f"{path.stem} image"),
+            domain=PointCloud(domain, path.stem),
+            codomain=PointCloud(codomain, f"{path.stem} image"),
             fixes_origin=meta["fixes_origin"],
             avoids_origin=meta["avoids_origin"],
             unbounded_domain=meta["unbounded_domain"],

@@ -1,4 +1,6 @@
-"""Shared test plumbing: the acceptance suite's pass/fail summary."""
+"""Shared test plumbing: the acceptance suite's pass/fail summary and tracemalloc peaks."""
+
+import tracemalloc
 
 import pytest
 
@@ -21,6 +23,20 @@ def criterion_report():
         print(line)
 
     return record
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)``: the result of ``call()`` and the tracemalloc peak, in bytes, of the call."""
+
+    def measure(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -286,37 +286,38 @@ class TestWalk:
             assert rep.witness_expand == rep.witness_contract == (0, 1)
             assert rep.pairs_evaluated == len(pairs)
 
-    @staticmethod
-    def traced_peak(m, strategy):
-        tracemalloc.start()
-        try:
-            rep = estimate_bilip(m, strategy)
-            return rep, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_all_pairs_memory_is_bounded(self):
+    def test_all_pairs_memory_is_bounded(self, traced_peak):
         # no pair list: one band of 2^16 pairs, about 3 MB;
         # an index list of every pair alone takes 32 MB at n = 2000
         pts = random_cloud(22, 2000, 3)
-        rep, peak = self.traced_peak(make_map(pts, 2.0 * pts), AllPairs())
+        rep, peak = traced_peak(lambda: estimate_bilip(make_map(pts, 2.0 * pts), AllPairs()))
         assert rep.pairs_evaluated == 2000 * 1999 // 2
         assert peak < 8 * 2**20
 
-    def assert_seeded_random_peak(self, q: int):
+    @staticmethod
+    def assert_seeded_random_peak(traced_peak, q: int):
         pts = random_cloud(23, 10**5, q)
-        rep, peak = self.traced_peak(make_map(pts, 2.0 * pts), SeededRandom(samples=10**6, seed=0))
+        m = make_map(pts, 2.0 * pts)
+        rep, peak = traced_peak(lambda: estimate_bilip(m, SeededRandom(samples=10**6, seed=0)))
         assert rep.pairs_evaluated + rep.pairs_skipped > 0.99 * 10**6
-        assert peak < 14 * 2**20
+        assert peak < 3 * 2**20
 
-    def test_seeded_random_memory_is_bounded(self):
-        # the two int32 draw arrays (8 MB) and one block of 2^14 draws, 9.8 MiB;
-        # int64 draws add 8 MB
-        self.assert_seeded_random_peak(2)
+    def test_seeded_random_memory_is_bounded(self, traced_peak):
+        # the radii floor (0.8 MB) and the temporaries of one block of 2^14 draws, 2.4 MiB;
+        # whole draw arrays took 8 MB more as int32, 16 MB as int64
+        self.assert_seeded_random_peak(traced_peak, 2)
 
-    def test_seeded_random_memory_is_bounded_at_q3(self):
-        # 9.9 MiB; copies of both point sets add 4.8 MB, blocks of 2^16 draws 4 MB
-        self.assert_seeded_random_peak(3)
+    def test_seeded_random_memory_is_bounded_at_q3(self, traced_peak):
+        # 2.4 MiB; copies of both point sets add 4.8 MB, blocks of 2^16 draws 4 MB
+        self.assert_seeded_random_peak(traced_peak, 3)
+
+    def test_seeded_random_memory_does_not_grow_with_the_draws(self, traced_peak):
+        # draws come in blocks: 4x the draws may not hold more (whole draw arrays took 24 MB more)
+        pts = random_cloud(24, 1000, 2)
+        m = make_map(pts, 2.0 * pts)
+        few, many = (traced_peak(lambda: estimate_bilip(m, SeededRandom(samples=s, seed=0)))[1]
+                     for s in (2**20, 2**22))
+        assert many <= few + 64 * 2**10
 
     @pytest.mark.parametrize("n", [2, 3, 1990, 100005, 100006, 5 * 10**6, 2**31 - 1])
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -328,6 +329,23 @@ class TestWalk:
             drawn = narrow.integers(0, n, size=size, dtype=np.int32)
             assert drawn.dtype == np.int32
             assert np.array_equal(drawn, wide.integers(0, n, size=size))
+
+    @pytest.mark.parametrize("n", [2, 3, 2**31 - 1, 2**31, 2**33 + 7])
+    @pytest.mark.parametrize("block, counts", [(1, (1, 2, 29)), (3, (1, 5, 100)),
+                                               (2**14, (1, 7, 2**14 + 5, 3 * 2**14 - 1))])
+    def test_draw_blocks_are_the_one_call_draws(self, n, block, counts):
+        # the second stream starts where the first ends, after any draws Lemire's method
+        # rejected; int32 blocks below 2^31, int64 above, and 2^33 + 7 takes 64-bit draws
+        for samples, seed in zip(counts, itertools.cycle((0, 1, 7))):
+            rng = np.random.default_rng(seed)
+            want = rng.integers(0, n, size=samples), rng.integers(0, n, size=samples)
+            with walk_blocks(block):
+                blocks = list(distortion._draw_blocks(n, samples, seed))
+            assert [len(a) for a, _ in blocks] == [len(b) for _, b in blocks]
+            assert max(len(a) for a, _ in blocks) == min(block, samples)
+            assert {a.dtype for pair in blocks for a in pair} == {np.dtype(np.int32 if n < 2**31 else np.int64)}
+            for k in (0, 1):
+                assert np.array_equal(np.concatenate([pair[k] for pair in blocks]), want[k])
 
     def test_witnesses_past_index_46341(self):
         # i*n + j passes 2^31 here, so a key formed in int32 would wrap and name other pairs

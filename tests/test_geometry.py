@@ -1,12 +1,14 @@
 """Frozen oracles and invariants for the pointwise transforms."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bilip import geometry
 from bilip.errors import DomainError, OriginError, PoleError
 from bilip.geometry import (
     _LARGE_RADIUS,
@@ -479,3 +481,53 @@ class TestPointCloud:
 def test_norms_overflow_safe():
     assert norms(np.array([[1e200, 0.0]]))[0] == pytest.approx(1e200)
     assert norms(np.array([[3e-300, 4e-300]]))[0] == pytest.approx(5e-300)
+
+
+def mixed_rows(seed: int, n: int, q: int) -> np.ndarray:
+    """Rows from radius 1e-299 to 1e299 and a few zero rows."""
+    rng = np.random.default_rng(seed)
+    x = unit_rows(rng, n, q) * 10.0 ** rng.uniform(-299, 299, size=(n, 1))
+    x[rng.integers(0, n, size=n // 10)] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 9, 129])
+def test_norms_do_not_depend_on_the_row_block(q):
+    x = mixed_rows(q, 50, q)
+    want = norms(x)
+    for rows in (1, 3, 7):
+        with mock.patch.object(geometry, "_NORM_ROWS", rows):
+            assert norms(x).tobytes() == want.tobytes()
+    assert want.tolist() == [norms(row[None])[0] for row in x]
+
+
+def test_norms_memory_is_bounded(traced_peak):
+    # the result (0.8 MB) and the temporaries of one block of 8192 rows, 1.2 MiB;
+    # temporaries of every row took 3.8 MiB
+    x = np.random.default_rng(3).normal(size=(10**5, 2))
+    r, peak = traced_peak(lambda: norms(x))
+    assert len(r) == 10**5
+    assert peak <= 1.5 * 2**20
+
+
+@pytest.mark.parametrize("q", [1, 2, 5])
+def test_embedding_in_place_matches_the_masked_form(q):
+    # without a radius past _LARGE_RADIUS every row is embedded in place; one such row
+    # sends the others through the masked form, which must give the same bits
+    x = unit_rows(np.random.default_rng(q), 40, q) * 10.0 ** np.linspace(-200, 149, 40)[:, None]
+    huge = np.vstack([x, np.full((1, q), 1e200)])
+    in_place = stereo_embed(x)
+    assert in_place.tobytes() == stereo_embed(huge)[:-1].tobytes()
+    out = np.full((len(x) + 1, q + 1), np.nan)
+    stereo_embed(x, out=out[1:])
+    assert out[1:].tobytes() == in_place.tobytes() and np.isnan(out[0]).all()
+    stereo_embed(huge[::-1], out=out)
+    assert out.tobytes() == stereo_embed(huge[::-1]).tobytes()
+
+
+def test_inversion_into_its_own_input():
+    x = mixed_rows(5, 30, 3)
+    x = x[norms(x) > 0.0]
+    want = invert(x)
+    invert(x, out=x)
+    assert x.tobytes() == want.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilip.errors import DomainError, EmptyRestriction, HypothesisError
-from bilip.geometry import PointCloud, norms
+from bilip.geometry import PointCloud, invert, norms, stereo_embed
 from bilip.maps import (
     Ambient,
     AnalyticMap,
@@ -145,6 +145,31 @@ class TestInvertMap:
             invert_map(m)
 
 
+    @pytest.mark.parametrize("origin, unbounded", [(True, True), (True, False), (False, True), (False, False)])
+    def test_rows_are_the_inverted_samples(self, origin, unbounded):
+        rng = np.random.default_rng(10)
+        dom = rng.normal(size=(40, 3)) * 10.0 ** rng.uniform(-8, 8, size=(40, 1))
+        if origin:
+            dom[17] = 0.0
+        m = make_map(dom, dom @ rng.normal(size=(3, 3)), unbounded_domain=unbounded)
+        keep = m.domain.radii() > 0.0
+        out = invert_map(m)
+        for got, cloud in ((out.domain, m.domain), (out.codomain, m.codomain)):
+            want = invert(cloud.points[keep])
+            if unbounded:
+                want = np.vstack([want, np.zeros(cloud.dim)])
+            assert got.points.tobytes() == want.tobytes()
+
+    def test_memory_is_bounded(self, traced_peak):
+        # the two results (3.2 MB) and the checks of the new map, 5.4 MiB; masked copies
+        # and an appended (0, 0) row took 10.8 MiB
+        m = sample_analytic(registry()["shear"], SamplerConfig(count=10**5, r_min=0.1, r_max=10.0))
+        assert m.fixes_origin and m.unbounded_domain
+        out, peak = traced_peak(lambda: invert_map(m))
+        assert out.n_pairs == m.n_pairs
+        assert peak <= 6 * 2**20
+
+
 class TestCompactifyMap:
     def test_golden_identity_line(self):
         m = make_map(
@@ -183,6 +208,27 @@ class TestCompactifyMap:
         out = compactify_map(m)
         for cloud in (out.domain, out.codomain):
             assert np.max(np.abs(cloud.radii() - 1.0)) <= 1e-12
+
+
+    @pytest.mark.parametrize("unbounded", [True, False])
+    def test_rows_are_the_embedded_samples(self, unbounded):
+        rng = np.random.default_rng(11)
+        dom = rng.normal(size=(40, 2)) * 10.0 ** rng.uniform(-8, 200, size=(40, 1))
+        m = make_map(dom, 2.0 * dom, unbounded_domain=unbounded)
+        out = compactify_map(m)
+        for got, cloud in ((out.domain, m.domain), (out.codomain, m.codomain)):
+            want = stereo_embed(cloud.points)
+            if unbounded:
+                want = np.vstack([want, [0.0, 0.0, 1.0]])
+            assert got.points.tobytes() == want.tobytes()
+
+    def test_memory_is_bounded(self, traced_peak):
+        # the two results (4.8 MB) and the sphere checks of the new map, 7.6 MiB;
+        # masked copies and an appended pole row took 10.1 MiB
+        m = sample_analytic(registry()["shear"], SamplerConfig(count=10**5, r_min=0.1, r_max=10.0))
+        out, peak = traced_peak(lambda: compactify_map(m))
+        assert out.n_pairs == m.n_pairs + 1
+        assert peak <= 8 * 2**20
 
 
 class TestRestrictMap:

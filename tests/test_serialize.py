@@ -12,7 +12,6 @@ import pathlib
 import re
 import tempfile
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,7 +158,7 @@ class TestTableFormat:
         assert (tmp_path / "m.csv").read_bytes() == repr_table("x1,y1,y2,y3", table)
         assert multiprocessing.active_children() == []
 
-    def test_slow_output_holds_the_pool_back(self, tmp_path, monkeypatch):
+    def test_slow_output_holds_the_pool_back(self, tmp_path, monkeypatch, traced_peak):
         # a sink that takes 30 ms a write, slower than two workers format a 1024-row chunk:
         # the writer may hold only the chunks in flight, not every one the workers finished
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -187,12 +186,7 @@ class TestTableFormat:
         monkeypatch.setattr(serialize, "open", lambda *a, **k: SlowFile(real_open(*a, **k)), raising=False)
         table = self.chunked_table(16 * 1024, 4)
         path = tmp_path / "c.csv"
-        tracemalloc.start()
-        try:
-            save_cloud(PointCloud(table, "c"), path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: save_cloud(PointCloud(table, "c"), path))
         text = path.read_bytes()
         assert text == repr_table("x1,x2,x3,x4", table)
         assert multiprocessing.active_children() == []
@@ -280,17 +274,12 @@ class TestCloud:
             points = load_cloud(path).points
         assert points.tobytes() == np.array([[float(t) for t in row] for row in rows]).tobytes()
 
-    def test_load_memory_is_bounded(self, tmp_path):
+    def test_load_memory_is_bounded(self, tmp_path, traced_peak):
         # the result (1.6 MB) and numpy's chunk of parsed lines; a Python float
         # list per row took 18 MB
         path = tmp_path / "c.csv"
         save_cloud(PointCloud(np.random.default_rng(5).normal(size=(10**5, 2))), path)
-        tracemalloc.start()
-        try:
-            cloud = load_cloud(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cloud, peak = traced_peak(lambda: load_cloud(path))
         assert cloud.points.shape == (10**5, 2)
         assert peak <= 4 * 2**20
 
@@ -336,20 +325,26 @@ class TestMap:
         }
         assert meta["q1"] == 2 and meta["ambient"] == "Affine"
 
-    def test_save_memory_is_bounded(self, tmp_path, monkeypatch):
+    def test_save_memory_is_bounded(self, tmp_path, monkeypatch, traced_peak):
         # one stacked chunk of 8192 rows and its text, 2.9 MiB; a copy of the whole
         # 1e5 x 6 table alone takes 4.6 MiB.  In process: on the pool, the number of
         # chunks formatted ahead of the writer depends on scheduling
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         dom = np.random.default_rng(6).normal(size=(10**5, 3))
         m = SampledMap(domain=PointCloud(dom), codomain=PointCloud(2.0 * dom))
-        tracemalloc.start()
-        try:
-            save_map(m, tmp_path / "m.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: save_map(m, tmp_path / "m.csv"))
         assert peak < 4.5 * 2**20
+
+    def test_load_memory_is_bounded(self, tmp_path, traced_peak):
+        # the parsed table (4.6 MiB) and then the two contiguous blocks, 9.2 MiB: the
+        # table goes before the samples are checked; checked beside it, 14.5 MiB
+        dom = np.random.default_rng(6).normal(size=(10**5, 3))
+        path = tmp_path / "m.csv"
+        save_map(SampledMap(domain=PointCloud(dom), codomain=PointCloud(2.0 * dom)), path)
+        m, peak = traced_peak(lambda: load_map(path))
+        assert m.domain.points.tobytes() == dom.tobytes()
+        assert m.domain.points.flags.c_contiguous and m.codomain.points.flags.c_contiguous
+        assert peak <= 9.5 * 2**20
 
     def test_map_header_shape(self, tmp_path):
         path = tmp_path / "m.csv"
