@@ -131,23 +131,21 @@ def stereo_embed(x, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty((n, q + 1))
     r = norms(p)
     big = r > _LARGE_RADIUS
-    if not big.any():
-        # every row in place, the same operations as the masked form below
-        r2 = np.square(r, out=r)
-        denom = 1.0 + r2
-        np.divide(np.multiply(p, 2.0, out=out[:, :q]), denom[:, None], out=out[:, :q])
-        np.divide(np.subtract(r2, 1.0, out=out[:, q]), denom, out=out[:, q])
-        return out
-    if not big.all():
-        r2 = r[~big] ** 2
-        out[~big, :q] = 2.0 * p[~big] / (1.0 + r2)[:, None]
-        out[~big, q] = (r2 - 1.0) / (r2 + 1.0)
-    # for huge radii work with t = 1/|x| to dodge |x|^2 overflow
-    u = p[big] / r[big, None]
-    t = 1.0 / r[big]
-    t2 = t * t
-    out[big, :q] = u * (2.0 * t / (1.0 + t2))[:, None]
-    out[big, q] = (1.0 - t2) / (1.0 + t2)
+    small = ~big
+    # rows at ordinary radii in place; the huge rows keep their radius in r
+    r2 = np.square(r, out=r, where=small)
+    denom = 1.0 + r2
+    np.multiply(p, 2.0, out=out[:, :q], where=small[:, None])
+    np.divide(out[:, :q], denom[:, None], out=out[:, :q], where=small[:, None])
+    np.subtract(r2, 1.0, out=out[:, q], where=small)
+    np.divide(out[:, q], denom, out=out[:, q], where=small)
+    if big.any():
+        # for huge radii work with t = 1/|x| to dodge |x|^2 overflow
+        u = p[big] / r[big, None]
+        t = 1.0 / r[big]
+        t2 = t * t
+        out[big, :q] = u * (2.0 * t / (1.0 + t2))[:, None]
+        out[big, q] = (1.0 - t2) / (1.0 + t2)
     return out
 
 

@@ -3,7 +3,6 @@
 import contextlib
 import itertools
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np

@@ -511,9 +511,9 @@ def test_norms_memory_is_bounded(traced_peak):
 
 
 @pytest.mark.parametrize("q", [1, 2, 5])
-def test_embedding_in_place_matches_the_masked_form(q):
-    # without a radius past _LARGE_RADIUS every row is embedded in place; one such row
-    # sends the others through the masked form, which must give the same bits
+def test_embedding_of_a_row_does_not_depend_on_the_others(q):
+    # a row past _LARGE_RADIUS takes the 1/|x| form; the rows beside it keep their bits,
+    # in a fresh result or written into a given one
     x = unit_rows(np.random.default_rng(q), 40, q) * 10.0 ** np.linspace(-200, 149, 40)[:, None]
     huge = np.vstack([x, np.full((1, q), 1e200)])
     in_place = stereo_embed(x)
