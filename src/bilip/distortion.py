@@ -8,11 +8,13 @@ coordinates, which on sphere-ambient maps is exactly the chordal metric.
 
 One kernel serves both strategies.  It walks blocks of pairs over
 coordinate-major views of the two point sets, so no list of pairs is
-ever built and no point is copied: AllPairs holds one band of about 2^16
-pairs (about 3 MB at 2000 samples in the plane), SeededRandom one block
-of 2^14 draws from each of two generators whatever the number of draws
-(a peak of 2.4 MiB at 1e5 samples in the plane, their radii included);
-neither names more than PAIR_BUDGET pairs.
+ever built and no point is copied: AllPairs holds one band of about 2^15
+pairs (a peak of 1.5 MiB at 2000 samples in the plane), SeededRandom one
+block of 2^14 draws from each of two generators whatever the number of
+draws (a peak of 2.4 MiB at 1e5 samples in the plane, their radii
+included); neither names more than PAIR_BUDGET pairs.  A maximum tied
+at many pairs costs an AllPairs band one argmax: its witness is the
+band's first hit in row-major order, which is the order of the pairs.
 Squares are summed by ``geometry.sum_squares``.  Every rule is relative,
 so a report keeps its bits when both point sets are scaled by 2^k and
 distances stay normal: pairs within COINCIDENCE_EPSILON * max(r_i, r_j)
@@ -37,10 +39,11 @@ COINCIDENCE_EPSILON = 1e-12
 PAIR_BUDGET = 2**24
 DEFAULT_RANDOM_PAIRS = 10**6
 # AllPairs walks row bands of about _BLOCK_PAIRS pairs, SeededRandom blocks of _BLOCK_DRAWS
-# draws; each bounds its block's temporaries for any n.  Bands of 2^14 pairs would cost
-# AllPairs 5 % at n = 1990 and 25 % at n = 5793 in per-band overhead; blocks of 2^14 draws
-# cost SeededRandom no time and hold 3.7 MiB less than blocks of 2^16
-_BLOCK_PAIRS = 2**16
+# draws; each bounds its block's temporaries for any n.  Bands of 2^15 pairs hold half the
+# temporaries of 2^16 (a peak of 1.5 MiB, not 2.8, at n = 1995) in the same time at n = 1990
+# and n = 5793; bands of 2^14 would cost 5 % and 25 % there in per-band overhead.  Blocks of
+# 2^14 draws cost SeededRandom no time and hold 3.7 MiB less than blocks of 2^16
+_BLOCK_PAIRS = 2**15
 _BLOCK_DRAWS = 2**14
 
 
@@ -222,8 +225,15 @@ def estimate_bilip(m: SampledMap, strategy: PairStrategy = AllPairs()) -> Distor
         with np.errstate(divide="ignore"):
             for slot, ratio in enumerate((dy / dx, dx / dy)):
                 top = np.fmax.reduce(ratio, axis=None)
-                hit = np.unravel_index(np.flatnonzero(ratio == top), ratio.shape)
-                best[slot] = max(best[slot], (float(top), -int((ib[hit] * n + jb[hit]).min())))
+                if isinstance(strategy, AllPairs):
+                    # a band's rows and columns ascend, so row-major order is key order;
+                    # invalid and dropped entries are nan and never hit
+                    r, c = divmod(int(np.argmax(ratio == top)), ratio.shape[1])
+                    key = int(ib[r, c]) * n + int(jb[r, c])
+                else:  # drawn pairs come in draw order: the least key over the hits
+                    hit = ratio == top
+                    key = int((ib[hit] * n + jb[hit]).min())
+                best[slot] = max(best[slot], (float(top), -key))
     if not evaluated:
         raise DegenerateMap("all candidate pairs are coincident in the domain")
     (l_expand, expand_key), (l_contract, contract_key) = best

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import types
 from typing import Callable
 
 import numpy as np
@@ -64,7 +66,8 @@ class SampledMap:
         cod_radii = self.codomain.radii()
         if self.ambient is Ambient.SPHERE:
             for radii in (dom_radii, cod_radii):
-                if np.max(np.abs(radii - 1.0)) > SPHERE_TOLERANCE:
+                # max |r - 1| with no temporaries, bit for bit: rounding is monotone
+                if max(radii.max() - 1.0, 1.0 - radii.min()) > SPHERE_TOLERANCE:
                     raise DomainError("sphere-ambient samples must lie on the unit sphere")
             derived = {"fixes_origin": False, "avoids_origin": False}
         else:
@@ -235,12 +238,15 @@ def unit_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     if dim < 1:
         raise DomainError(f"directions need dim >= 1, got {dim}")
     dirs = rng.normal(size=(n, dim))
-    lengths = np.linalg.norm(dirs, axis=1)
-    while np.any(lengths < 1e-12):
+    while True:
+        # the arithmetic of np.linalg.norm(dirs, axis=1), without its conjugate copy of dirs
+        lengths = np.sqrt(np.add.reduce(dirs * dirs, axis=1))
         bad = lengths < 1e-12
+        if not bad.any():
+            break
         dirs[bad] = rng.normal(size=(int(bad.sum()), dim))
-        lengths = np.linalg.norm(dirs, axis=1)
-    return dirs / lengths[:, None]
+    dirs /= lengths[:, None]
+    return dirs
 
 
 def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
@@ -261,22 +267,21 @@ def sample_analytic(f: AnalyticMap, config: SamplerConfig) -> SampledMap:
         raise DomainError(
             f"radius range [{config.r_min}, {config.r_max}] misses the domain of {f.name}"
         )
-    rng = np.random.default_rng(config.seed)
-    dirs = unit_directions(rng, config.count, f.dim_in)
-    radii = np.exp(rng.uniform(np.log(lo), np.log(hi), size=config.count))
-    dom = dirs * radii[:, None]
-    if f.singular_dirs:
-        probe_r = float(np.sqrt(lo * hi))
-        probes = []
-        for u in f.singular_dirs:
-            probes.append(probe_r * np.asarray(u, dtype=np.float64))
-            probes.append(-probe_r * np.asarray(u, dtype=np.float64))
-        dom = np.vstack([dom, np.array(probes)])
-    origin = np.zeros((1, f.dim_in))
+    count = config.count
     # an image that overflows is rejected below, by the name of the map
     with np.errstate(over="ignore", invalid="ignore"):
-        if f.domain_radii[0] == 0.0 and not np.any(f.func(origin)):
-            dom = np.vstack([dom, origin])
+        origin = f.domain_radii[0] == 0.0 and not np.any(f.func(np.zeros((1, f.dim_in))))
+    # the domain is written once: samples, then a +/- probe pair per singular direction,
+    # then the origin row, left zero
+    dom = np.zeros((count + 2 * len(f.singular_dirs) + int(origin), f.dim_in))
+    rng = np.random.default_rng(config.seed)
+    dom[:count] = unit_directions(rng, count, f.dim_in)
+    dom[:count] *= np.exp(rng.uniform(np.log(lo), np.log(hi), size=count))[:, None]
+    probe_r = float(np.sqrt(lo * hi))
+    for row, u in enumerate(f.singular_dirs):
+        dom[count + 2 * row] = probe_r * np.asarray(u, dtype=np.float64)
+        dom[count + 2 * row + 1] = -probe_r * np.asarray(u, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
         cod = np.asarray(f.func(dom), dtype=np.float64)
     if cod.shape != (len(dom), f.dim_out) or not np.all(np.isfinite(cod)):
         raise DomainError(f"evaluator of {f.name} returned a malformed image")
@@ -300,7 +305,7 @@ def linear_analytic(name: str, matrix) -> AnalyticMap:
         DomainError: if the matrix is not square, has a non-finite entry
             or is singular.
     """
-    m = np.asarray(matrix, dtype=np.float64)
+    m = np.array(matrix, dtype=np.float64)  # a copy, frozen below with the singular directions
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("linear registry maps must be square")
     if not np.all(np.isfinite(m)):
@@ -308,13 +313,16 @@ def linear_analytic(name: str, matrix) -> AnalyticMap:
     _, s, vt = np.linalg.svd(m)
     if s[-1] <= 0.0:
         raise DomainError("singular matrix is not bi-Lipschitz")
+    dirs = (vt[0].copy(), vt[-1].copy()) if s[0] > s[-1] else ()
+    for array in (m, *dirs):  # registry members are shared by every caller in the process
+        array.setflags(write=False)
     return AnalyticMap(
         name=name,
         dim_in=m.shape[1],
         dim_out=m.shape[0],
         func=lambda pts, _m=m: pts @ _m.T,
         bilip_constant=float(max(s[0], 1.0 / s[-1])),
-        singular_dirs=(vt[0].copy(), vt[-1].copy()) if s[0] > s[-1] else (),
+        singular_dirs=dirs,
     )
 
 
@@ -367,9 +375,11 @@ def radial_power_analytic(exponent: float, r_lo: float, r_hi: float) -> Analytic
     )
 
 
-def registry() -> dict[str, AnalyticMap]:
+@functools.cache
+def registry() -> types.MappingProxyType[str, AnalyticMap]:
     """The oracle family: maps with independently known constants.
 
+    The family is built once per process and shared, so it is read-only.
     Two constructors build every member.  ``linear_analytic`` gives the
     identity, the scalings by 1/2, 2 and 10, a diagonal linear map and
     the unit shear, with constants from its SVD oracle.
@@ -386,4 +396,4 @@ def registry() -> dict[str, AnalyticMap]:
         radial_power_analytic(1.25, 1.0, 2.0),
         dataclasses.replace(radial_power_analytic(2.0, 0.0, 1.0), name="radial-square"),
     ]
-    return {f.name: f for f in members}
+    return types.MappingProxyType({f.name: f for f in members})

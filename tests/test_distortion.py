@@ -286,12 +286,22 @@ class TestWalk:
             assert rep.pairs_evaluated == len(pairs)
 
     def test_all_pairs_memory_is_bounded(self, traced_peak):
-        # no pair list: one band of 2^16 pairs, about 3 MB;
+        # no pair list: one band of 2^15 pairs, 1.7 MiB;
         # an index list of every pair alone takes 32 MB at n = 2000
         pts = random_cloud(22, 2000, 3)
         rep, peak = traced_peak(lambda: estimate_bilip(make_map(pts, 2.0 * pts), AllPairs()))
         assert rep.pairs_evaluated == 2000 * 1999 // 2
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("name, constant", [("identity", 1.0), ("scale-2", 2.0)])
+    def test_conformal_maps_tie_at_every_pair(self, traced_peak, name, constant):
+        # every pair ties at the top, and a band's first hit is its witness: 1.5 MiB,
+        # where an index per tied pair took 4.6 MiB
+        m = map_samples(name, 1990)
+        rep, peak = traced_peak(lambda: estimate_bilip(m, AllPairs()))
+        assert rep.bilip_constant == constant
+        assert rep.witness_expand == rep.witness_contract == (0, 1)
+        assert peak <= 2 * 2**20
 
     @staticmethod
     def assert_seeded_random_peak(traced_peak, q: int):

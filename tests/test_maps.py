@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bilip.errors import DomainError, EmptyRestriction, HypothesisError
-from bilip.geometry import PointCloud, invert, norms, stereo_embed
+from bilip.geometry import SPHERE_TOLERANCE, PointCloud, invert, norms, stereo_embed
 from bilip.maps import (
     Ambient,
     AnalyticMap,
@@ -80,6 +80,24 @@ class TestSampledMapValidation:
                 [[1.0, 0.0], [0.5, 0.5]],
                 ambient=Ambient.SPHERE,
             )
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["outside", "inside"])
+    def test_sphere_tolerance_on_either_side_of_one(self, side):
+        # radii a few ulps around 1 +/- SPHERE_TOLERANCE, in either cloud: a map is
+        # refused exactly when |r - 1| exceeds the tolerance
+        radii = [1.0 + side * SPHERE_TOLERANCE]
+        for _ in range(4):
+            radii = [np.nextafter(radii[0], 1.0), *radii, np.nextafter(radii[-1], 1.0 + side)]
+        refused = [abs(r - 1.0) > SPHERE_TOLERANCE for r in radii]
+        assert any(refused) and not all(refused)
+        unit = [[0.0, 1.0], [1.0, 0.0]]
+        for r, out in zip(radii, refused):
+            for dom, cod in (([[r, 0.0], [0.0, 1.0]], unit), (unit, [[0.0, 1.0], [0.0, -r]])):
+                if out:
+                    with pytest.raises(DomainError, match="must lie on the unit sphere"):
+                        make_map(dom, cod, ambient=Ambient.SPHERE)
+                else:
+                    assert make_map(dom, cod, ambient=Ambient.SPHERE).ambient is Ambient.SPHERE
 
 
 class TestInvertMap:
@@ -223,12 +241,12 @@ class TestCompactifyMap:
             assert got.points.tobytes() == want.tobytes()
 
     def test_memory_is_bounded(self, traced_peak):
-        # the two results (4.8 MB) and the sphere checks of the new map, 7.6 MiB;
-        # masked copies and an appended pole row took 10.1 MiB
+        # the two results (4.8 MB) and the sphere checks of the new map, 6.7 MiB;
+        # masked copies and an appended pole row took 10.1 MiB, |r - 1| arrays 7.6 MiB
         m = sample_analytic(registry()["shear"], SamplerConfig(count=10**5, r_min=0.1, r_max=10.0))
         out, peak = traced_peak(lambda: compactify_map(m))
         assert out.n_pairs == m.n_pairs + 1
-        assert peak <= 8 * 2**20
+        assert peak <= 7 * 2**20
 
 
 class TestRestrictMap:
@@ -289,6 +307,14 @@ class TestSampler:
         m = sample_analytic(reg["identity"], SamplerConfig(count=100, r_min=0.1, r_max=10.0, seed=7))
         assert m.n_pairs == 101  # 100 draws + the origin pair
         assert m.domain.points == pytest.approx(m.codomain.points)
+
+    def test_memory_is_bounded(self, traced_peak):
+        # the samples (3.05 MiB) and the checks of the new map, 6.1 MiB;
+        # two stacked copies of the domain and np.linalg.norm's copy of the directions took 8.0 MiB
+        f, cfg = registry()["shear"], SamplerConfig(count=10**5, r_min=0.1, r_max=10.0)
+        m, peak = traced_peak(lambda: sample_analytic(f, cfg))
+        assert m.n_pairs == 10**5 + 5  # the draws, four probe rows and the origin pair
+        assert peak <= 6.5 * 2**20
 
     def test_determinism(self):
         f = scaling_analytic(2.0)
@@ -386,6 +412,15 @@ class TestSampler:
 
 
 class TestRegistry:
+    def test_built_once_and_read_only(self):
+        first, second = registry(), registry()
+        assert first is second
+        with pytest.raises(TypeError):
+            first["identity"] = first["shear"]
+        # the members are shared, so their arrays are frozen too
+        with pytest.raises(ValueError, match="read-only"):
+            first["shear"].singular_dirs[0][0] = 0.0
+
     def test_minimum_contents(self):
         reg = registry()
         for name in (
